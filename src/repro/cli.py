@@ -303,8 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--checkpoint",
         metavar="PATH",
         default=None,
-        help="persist completed chunks to this file (atomic, checksummed) "
-        "so a killed sweep can be resumed",
+        help="append each completed chunk to this checkpoint journal "
+        "(checksummed, fsynced) so a killed sweep can be resumed",
     )
     sweep.add_argument(
         "--resume",

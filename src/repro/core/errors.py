@@ -84,8 +84,9 @@ class CheckpointError(ResilienceError):
 
     Raised when a checkpoint's fingerprint does not match the run being
     resumed (different grid, chunk size, baseline, sampler, ...) or when
-    strict loading encounters a missing/corrupt file. A *corrupt* file
-    under non-strict loading is not an error: the run restarts cold.
+    strict loading encounters a missing/corrupt file. Damage under
+    non-strict loading is not an error: the run resumes from the
+    journal's valid prefix (or restarts cold if its header is bad).
     """
 
 

@@ -45,8 +45,9 @@ numbers: handing the explorer a
 through a :class:`~repro.resilience.supervisor.SupervisedPool` (crash
 recovery, chunk timeouts, bounded retry, in-process degradation), and
 ``explore_arrays(..., checkpoint=..., resume=True)`` persists
-chunk-granular progress through an atomic, checksummed
-:class:`~repro.resilience.checkpoint.CheckpointStore` so a killed sweep
+chunk-granular progress through an append-only, checksummed
+:class:`~repro.resilience.checkpoint.CheckpointStore` journal (one
+record per completed chunk) so a killed sweep
 resumes bit-exactly — same result arrays, same cache contents — from
 the last completed chunk.
 """
@@ -1343,15 +1344,17 @@ class BatchExplorer:
         per-point factory calls. Output (ordering, skips, values, cache
         contents) is byte-identical either way.
 
-        With *checkpoint* set, every completed chunk is atomically
-        persisted to that path; with *resume*, completed chunks found
-        there are replayed into the cache without re-evaluating the
-        factory, and the sweep continues from the first unfinished
-        chunk. Resume is bit-exact: result arrays and cache entries
-        match an uninterrupted run. A checkpoint written by a different
-        run configuration raises
-        :class:`~repro.core.errors.CheckpointError`; a corrupt or
-        truncated file is discarded and the sweep restarts cold.
+        With *checkpoint* set, every completed chunk is appended (and
+        fsynced) as one record of the journal at that path; without
+        *resume* an existing file there is replaced. With *resume*,
+        completed chunks found there are replayed into the cache
+        without re-evaluating the factory, and the sweep continues from
+        the first unfinished chunk. Resume is bit-exact: result arrays,
+        cache entries and the final journal bytes match an
+        uninterrupted run. A checkpoint written by a different run
+        configuration raises :class:`~repro.core.errors.CheckpointError`;
+        a torn or corrupt tail is truncated and the sweep resumes from
+        the valid prefix (a damaged header restarts cold).
 
         With *store* set (a :class:`~repro.dse.store.ResultStore` or a
         directory path), every evaluated chunk is persisted to the
@@ -1415,7 +1418,8 @@ class BatchExplorer:
                 )
                 if state is not None:
                     restored_chunks = list(state.get("chunks", []))
-        saved_chunks: list[list] = []
+            else:
+                ckpt.remove()
         params_list: list[Mapping[str, object]] = []
         designs: list[DesignPoint] = []
         pool: ProcessPoolExecutor | SupervisedPool | None = None
@@ -1493,7 +1497,6 @@ class BatchExplorer:
                             outcomes = self._restore_chunk(
                                 chunk, restored_chunks[index], ckpt
                             )
-                            saved_chunks.append(restored_chunks[index])
                             if session is not None:
                                 # Resumed work is stored too: the next
                                 # process should not recompute it.
@@ -1531,12 +1534,11 @@ class BatchExplorer:
                             designs.append(outcome)
                             valid += 1
                         if ckpt is not None and not restored:
-                            saved_chunks.append(encode_outcomes(outcomes))
                             try:
                                 ckpt.save(
                                     kind="sweep",
                                     fingerprint=fingerprint,
-                                    state={"chunks": saved_chunks},
+                                    state={"chunks": [encode_outcomes(outcomes)]},
                                 )
                             except CheckpointError as exc:
                                 # A dead checkpoint must not kill a live

@@ -6,9 +6,9 @@ of each sustainability category — a stochastic complement to the exact
 interval analysis in :mod:`repro.core.uncertainty`.
 
 Both samplers accept ``checkpoint``/``resume``: samples are then drawn
-in chunks of ``checkpoint_every``, each completed chunk persisting the
-classified codes plus the RNG state to an atomic
-:class:`~repro.resilience.checkpoint.CheckpointStore` file. Resume
+in chunks of ``checkpoint_every``, each completed chunk appending its
+classified codes plus the RNG state after it as one record of a
+:class:`~repro.resilience.checkpoint.CheckpointStore` journal. Resume
 restores the codes and the generator state and continues drawing —
 NumPy ``Generator`` streams are split-invariant, so the chunked,
 killed-and-resumed run produces byte-identical probabilities to an
@@ -425,6 +425,8 @@ def _checkpointed_codes(
                 done.append(np.asarray(codes, dtype=np.int8))
                 drawn = len(codes)
                 rng.bit_generator.state = rng_state
+    elif ckpt is not None:
+        ckpt.remove()
     step = (
         samples if ckpt is None and result_store is None else checkpoint_every
     )
@@ -454,7 +456,7 @@ def _checkpointed_codes(
                     kind="montecarlo",
                     fingerprint=fingerprint,
                     state={
-                        "codes": np.concatenate(done).tolist(),
+                        "codes": codes_arr.tolist(),
                         "rng_state": rng.bit_generator.state,
                     },
                 )

@@ -363,7 +363,7 @@ class ResultStore:
 
     def _write_document(self, path: Path, payload: object) -> bool:
         """Atomic checksummed write (temp → fsync → rename), the same
-        durability contract checkpoint files carry.
+        durability contract checkpoint journal headers carry.
 
         Transient disk faults (EIO/ENOSPC) are retried inside
         :func:`~repro.resilience.checkpoint.atomic_write_text`; when the

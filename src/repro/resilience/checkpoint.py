@@ -1,29 +1,27 @@
-"""Crash-safe checkpoint files: atomic, checksummed, resumable.
+"""Crash-safe checkpoint journals: append-only, checksummed, resumable.
 
-A checkpoint is one JSON document holding three things:
+A checkpoint is a journal of lines ``<sha256-hex> <canonical-json>\n``:
 
-* a **kind** (``"sweep"``, ``"montecarlo"``) naming the producer;
-* a **fingerprint** — everything the run's identity depends on (grid
-  axes, chunk size, baseline, weight, factory, sampler arguments).
-  Resume refuses a checkpoint whose fingerprint does not match the run
-  being resumed, so a stale file can never silently contaminate results;
-* the **state** — chunk-granular progress (encoded outcomes, RNG
-  states) that lets the producer continue bit-exactly from the last
-  completed chunk.
+* a **header** ``{"format", "kind", "fingerprint"}``: the producer
+  (``"sweep"``, ``"montecarlo"``) and everything the run's identity
+  depends on (grid axes, chunk size, baseline, weight, factory, sampler
+  arguments). Resume refuses a mismatched fingerprint, so a stale file
+  can never silently contaminate results;
+* one **delta** record per completed chunk (its encoded outcomes, or a
+  Monte-Carlo segment's codes plus the RNG state after it). Loading
+  folds them in order — lists concatenate, other values are last-wins.
 
-Durability contract: every save rewrites the file via
-write-temp → ``fsync`` → atomic ``os.replace``, with a SHA-256 content
-checksum over the canonical payload serialization. A reader therefore
-sees either the previous complete checkpoint or the new one — never a
-torn write — and detects any truncation or corruption by checksum.
-Corrupt files are *not* fatal on resume: :meth:`CheckpointStore.
-load_or_restart` logs, counts ``focal_checkpoint_corrupt_total``, and
-restarts cold, which keeps the final output byte-identical to a
-fault-free run.
+The header is written write-temp → ``fsync`` → atomic rename; each save
+appends and fsyncs one record, costing its own chunk, not the run so
+far. A crash mid-append leaves a torn line the checksum exposes:
+:meth:`CheckpointStore.load` raises on it; :meth:`CheckpointStore.
+load_or_restart` logs it, truncates it and resumes from the valid
+prefix, so the final output and journal bytes match a fault-free run.
 """
 
 from __future__ import annotations
 
+import contextlib
 import errno
 import hashlib
 import json
@@ -51,8 +49,8 @@ __all__ = [
     "TRANSIENT_DISK_ERRNOS",
 ]
 
-#: Format tag written into (and required from) every checkpoint file.
-CHECKPOINT_FORMAT = "focal-checkpoint/1"
+#: Format tag written into (and required from) every journal header.
+CHECKPOINT_FORMAT = "focal-checkpoint/2"
 
 #: ``OSError`` errnos treated as transient disk faults: a wedged I/O
 #: path (EIO) or a momentarily full volume (ENOSPC) often clears within
@@ -71,20 +69,17 @@ _disk_fault_hook: Callable[[Path], None] | None = None
 
 
 def set_disk_fault_hook(hook: Callable[[Path], None] | None) -> None:
-    """Install (or clear, with ``None``) the durable-write fault hook.
-
-    Test-only seam used by :class:`repro.resilience.faults.FaultPlan`
-    to fire deterministic ``OSError`` faults inside
-    :func:`atomic_write_text` without mocking the filesystem.
-    """
+    """Install (or clear, with ``None``) the durable-write fault hook:
+    the test-only seam :class:`repro.resilience.faults.FaultPlan` uses
+    to fire deterministic ``OSError`` faults inside every durable write
+    (:func:`atomic_write_text`, journal appends) without mocking."""
     global _disk_fault_hook
     _disk_fault_hook = hook
 
 
-def atomic_write_text(
-    path: Path, text: str, *, sleep: Callable[[float], None] = time.sleep
-) -> None:
-    """Durably write *text* to *path*: write-temp, fsync, atomic rename.
+def _durably(path: Path, write: Callable[[], None], undo: Callable[[], None],
+             sleep: Callable[[float], None] = time.sleep) -> None:
+    """Run the durable *write* of *path*; *undo* clears a failed try.
 
     Transient disk faults (:data:`TRANSIENT_DISK_ERRNOS`) are retried
     up to :data:`DISK_RETRIES` times with doubling backoff, counting
@@ -94,35 +89,22 @@ def atomic_write_text(
     :class:`CheckpointError`) or shed-able (the result store falls back
     to its memory tier).
     """
-    path = Path(path)
-    temp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
     for attempt in range(DISK_RETRIES + 1):
         try:
             if _disk_fault_hook is not None:
                 _disk_fault_hook(path)
-            with open(temp, "w", encoding="utf-8") as handle:
-                handle.write(text)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(temp, path)
+            write()
             return
         except OSError as exc:
-            try:
-                temp.unlink()
-            except OSError:
-                pass
+            with contextlib.suppress(OSError):
+                undo()
             transient = exc.errno in TRANSIENT_DISK_ERRNOS
             if not transient or attempt >= DISK_RETRIES:
                 raise
-            get_logger().warning(
-                kv(
-                    "disk.retry",
-                    path=str(path),
-                    errno=exc.errno,
-                    attempt=attempt + 1,
-                    error=str(exc),
-                )
-            )
+            get_logger().warning(kv(
+                "disk.retry", path=str(path), errno=exc.errno,
+                attempt=attempt + 1, error=str(exc),
+            ))
             registry = _metrics.get_registry()
             if registry.enabled:
                 registry.counter(
@@ -132,25 +114,34 @@ def atomic_write_text(
             sleep(DISK_BACKOFF_S * (2.0**attempt))
 
 
-class _CorruptCheckpoint(CheckpointError):
-    """Internal marker: the file is damaged (vs. merely mismatched).
+def atomic_write_text(path: Path, text: str, *,
+                      sleep: Callable[[float], None] = time.sleep) -> None:
+    """Durably write *text* to *path*: write-temp, fsync, atomic rename,
+    with the transient-fault retries of :func:`_durably`."""
+    path = Path(path)
+    temp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
 
-    ``load_or_restart`` recovers from damage by restarting cold; a
-    fingerprint/kind mismatch is a configuration error and always
-    propagates as a plain :class:`CheckpointError`.
-    """
+    def write() -> None:
+        with open(temp, "w", encoding="utf-8") as handle:
+            handle.write(text)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(temp, path)
+
+    _durably(path, write, temp.unlink, sleep)
+
+
+class _CorruptCheckpoint(CheckpointError):
+    """Internal marker: the file is damaged, which ``load_or_restart``
+    recovers from (vs. a kind/fingerprint mismatch, a configuration
+    error that always propagates as a plain :class:`CheckpointError`)."""
 
 
 def canonical_json(payload: object) -> str:
-    """The canonical serialization checksums are computed over.
-
-    Shared with :mod:`repro.dse.store` so every durable FOCAL file —
-    checkpoints and persistent result-store documents alike — hashes
-    the same byte stream for the same payload.
-    """
-    return json.dumps(
-        payload, sort_keys=True, separators=(",", ":"), default=str
-    )
+    """The canonical serialization checksums are computed over, shared
+    with :mod:`repro.dse.store` so every durable FOCAL file hashes the
+    same byte stream for the same payload."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
 
 
 def sha256_hex(text: str) -> str:
@@ -158,17 +149,32 @@ def sha256_hex(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-# Historical private names; every internal call site predates the
-# public aliases.
-_canonical = canonical_json
-_sha256 = sha256_hex
+def _frame(payload: object) -> bytes:
+    """One journal line: ``<sha256-hex> <canonical-json>\n``."""
+    body = canonical_json(payload)
+    return f"{sha256_hex(body)} {body}\n".encode("utf-8")
+
+
+def _unframe(line: bytes) -> dict | None:
+    """The record on one journal line (sans newline); ``None`` if damaged."""
+    digest, _, body = line.partition(b" ")
+    if hashlib.sha256(body).hexdigest().encode("ascii") != digest:
+        return None
+    try:
+        record = json.loads(body)
+    except ValueError:
+        return None
+    return record if isinstance(record, dict) else None
 
 
 class CheckpointStore:
-    """One checkpoint file with atomic saves and checksum-verified loads."""
+    """One checkpoint journal with appending saves and checksum-verified
+    loads. A store appends to the journal it last saved to or resumed
+    (:meth:`load_or_restart`); otherwise its next save starts afresh."""
 
     def __init__(self, path: str | os.PathLike) -> None:
         self.path = Path(path)
+        self._end: int | None = None  # append offset; None = new journal
 
     @classmethod
     def coerce(
@@ -183,7 +189,8 @@ class CheckpointStore:
         return self.path.exists()
 
     def remove(self) -> None:
-        """Delete the checkpoint file if present."""
+        """Delete the checkpoint file if present; the next save starts afresh."""
+        self._end = None
         try:
             self.path.unlink()
         except FileNotFoundError:
@@ -193,133 +200,139 @@ class CheckpointStore:
     # Saving
     # ------------------------------------------------------------------
     def save(self, *, kind: str, fingerprint: Mapping, state: Mapping) -> None:
-        """Atomically replace the file with a checksummed checkpoint.
-
-        Transient disk faults (EIO/ENOSPC) are retried with bounded
-        backoff inside :func:`atomic_write_text`; a write that still
-        fails raises :class:`CheckpointError` so callers can decide to
-        continue without checkpointing rather than abort the run.
-        """
-        payload = {"kind": kind, "fingerprint": fingerprint, "state": state}
-        body = _canonical(payload)
-        document = json.dumps(
-            {
-                "format": CHECKPOINT_FORMAT,
-                "sha256": _sha256(body),
-                "payload": payload,
-            },
-            default=str,
-        )
+        """Append *state* — one chunk's delta — as a checksummed record,
+        after atomically writing a new journal's header. A transient disk
+        fault truncates the append back to its start and retries; a write
+        that still fails raises :class:`CheckpointError`, so callers can
+        continue without checkpointing rather than abort the run."""
+        record = _frame(state)
         try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            atomic_write_text(self.path, document)
+            if self._end is None:
+                self.path.parent.mkdir(parents=True, exist_ok=True)
+                header = {"format": CHECKPOINT_FORMAT, "kind": kind,
+                          "fingerprint": fingerprint}
+                atomic_write_text(self.path, _frame(header).decode("utf-8"))
+                self._fsync_dir()
+                self._end = self.path.stat().st_size
+            start = self._end
+
+            def append() -> None:
+                with open(self.path, "r+b") as handle:
+                    handle.seek(start)
+                    handle.write(record)
+                    handle.flush()
+                    os.fsync(handle.fileno())
+
+            _durably(self.path, append, lambda: os.truncate(self.path, start))
         except OSError as exc:
             raise CheckpointError(
                 f"checkpoint {self.path} could not be written: {exc}"
             ) from exc
-        self._fsync_dir()
+        self._end = start + len(record)
 
     def _fsync_dir(self) -> None:
-        """Durability of the rename itself (best-effort; not all
-        filesystems allow opening a directory)."""
-        try:
+        """Durability of the header's rename (best-effort)."""
+        with contextlib.suppress(OSError):  # not every platform opens dirs
             fd = os.open(self.path.parent, os.O_RDONLY)
-        except OSError:  # pragma: no cover - platform dependent
-            return
-        try:
-            os.fsync(fd)
-        except OSError:  # pragma: no cover
-            pass
-        finally:
-            os.close(fd)
+            try:
+                os.fsync(fd)
+            finally:
+                os.close(fd)
 
     # ------------------------------------------------------------------
     # Loading
     # ------------------------------------------------------------------
     def load(self, *, kind: str, fingerprint: Mapping) -> dict:
-        """The verified state, or :class:`CheckpointError` on any problem
-        (missing file, corruption, wrong kind, fingerprint mismatch)."""
-        payload = self._read_payload()
+        """The folded state, or :class:`CheckpointError` on any problem
+        (missing file, damaged record, wrong kind, fingerprint mismatch)."""
+        return self._verify(self._read_payload(), kind, fingerprint)["state"]
+
+    def _verify(self, payload: dict, kind: str, fingerprint: Mapping) -> dict:
         if payload.get("kind") != kind:
             raise CheckpointError(
                 f"checkpoint {self.path} holds a {payload.get('kind')!r} "
                 f"run, expected {kind!r}"
             )
-        recorded = _canonical(payload.get("fingerprint"))
-        expected = _canonical(fingerprint)
-        if recorded != expected:
+        if canonical_json(payload.get("fingerprint")) != canonical_json(fingerprint):
             raise CheckpointError(
                 f"checkpoint {self.path} was written by a different run "
                 "configuration (grid/chunk-size/baseline/weight/factory "
                 "fingerprint mismatch); delete it or point --checkpoint "
                 "at a fresh path"
             )
-        state = payload.get("state")
-        if not isinstance(state, dict):
-            raise _CorruptCheckpoint(
-                f"checkpoint {self.path} has no usable state"
-            )
-        return state
+        return payload
 
     def load_or_restart(self, *, kind: str, fingerprint: Mapping) -> dict | None:
-        """Resume-friendly load: ``None`` means "start cold".
-
-        A missing file and a corrupt/truncated file both return ``None``
-        (the latter with a warning log and a bump of
-        ``focal_checkpoint_corrupt_total``) — recovery from a damaged
-        checkpoint is a cold start, which reproduces the fault-free
-        output exactly. A *fingerprint mismatch* still raises: that is a
-        configuration error the user must resolve, not damage.
-        """
+        """Resume-friendly load: ``None`` means "start cold" (missing
+        file, damaged or unknown-format header such as an old
+        ``focal-checkpoint/1`` file, or no whole record). A torn or
+        corrupt tail is logged, counted and truncated away; the valid
+        prefix is returned and the store appends after it. A *kind or
+        fingerprint mismatch* still raises: that is a configuration
+        error the user must resolve, not damage."""
         if not self.path.exists():
             return None
         try:
-            return self.load(kind=kind, fingerprint=fingerprint)
+            payload, end, damage = self._replay()
         except _CorruptCheckpoint as exc:
             self._note_corrupt(str(exc))
             return None
+        self._verify(payload, kind, fingerprint)
+        if damage is not None:
+            self._note_corrupt(damage)
+            # An unwritable journal is left as is: its next save fails
+            # and the run continues without checkpointing.
+            with contextlib.suppress(OSError):
+                os.truncate(self.path, end)
+        self._end = end
+        return payload["state"] or None
 
     def _note_corrupt(self, reason: str) -> None:
-        get_logger().warning(
-            kv("checkpoint.corrupt", path=str(self.path), reason=reason)
-        )
+        get_logger().warning(kv("checkpoint.corrupt", path=str(self.path), reason=reason))
         registry = _metrics.get_registry()
         if registry.enabled:
             registry.counter(
                 "focal_checkpoint_corrupt_total",
-                "corrupt/truncated checkpoint files discarded on resume",
+                "damaged checkpoint journals repaired or discarded on resume",
             ).inc()
 
     def _read_payload(self) -> dict:
+        payload, _, damage = self._replay()  # strict: no damage allowed
+        if damage is not None:
+            raise _CorruptCheckpoint(damage)
+        return payload
+
+    def _replay(self) -> tuple[dict, int, str | None]:
+        """Fold the valid prefix: ``(payload, end offset, damage)``;
+        *damage* names the first bad record. A bad header raises."""
         try:
-            text = self.path.read_text(encoding="utf-8")
+            data = self.path.read_bytes()
         except FileNotFoundError:
             raise CheckpointError(f"checkpoint {self.path} does not exist")
         except OSError as exc:
             raise CheckpointError(f"checkpoint {self.path} unreadable: {exc}")
-        try:
-            document = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise _CorruptCheckpoint(
-                f"checkpoint {self.path} is not valid JSON "
-                f"(truncated write?): {exc}"
-            )
-        if not isinstance(document, dict):
-            raise _CorruptCheckpoint(f"checkpoint {self.path} is not an object")
-        if document.get("format") != CHECKPOINT_FORMAT:
-            raise _CorruptCheckpoint(
-                f"checkpoint {self.path} has format "
-                f"{document.get('format')!r}, expected {CHECKPOINT_FORMAT!r}"
-            )
-        payload = document.get("payload")
-        if not isinstance(payload, dict):
-            raise _CorruptCheckpoint(f"checkpoint {self.path} has no payload")
-        if _sha256(_canonical(payload)) != document.get("sha256"):
-            raise _CorruptCheckpoint(
-                f"checkpoint {self.path} failed its content checksum "
-                "(corrupted on disk)"
-            )
-        return payload
+        *lines, tail = data.split(b"\n")
+        header = _unframe(lines[0]) if lines else None
+        if header is None or header.get("format") != CHECKPOINT_FORMAT:
+            raise _CorruptCheckpoint(f"checkpoint {self.path} does not start with a "
+                                     f"{CHECKPOINT_FORMAT!r} header (older format, or damaged)")
+        state: dict = {}
+        end, damage = len(lines[0]) + 1, None
+        for number, line in enumerate(lines[1:], start=1):
+            record = _unframe(line)
+            if record is None:
+                damage = f"record {number} failed its checksum (corrupted)"
+                break
+            for key, value in record.items():
+                if isinstance(value, list):
+                    state.setdefault(key, []).extend(value)
+                else:
+                    state[key] = value
+            end += len(line) + 1
+        else:
+            damage = f"record {len(lines)} is torn (crash mid-append?)" if tail else None
+        header["state"] = state
+        return header, end, damage
 
 
 # ----------------------------------------------------------------------
@@ -378,9 +391,7 @@ def sweep_fingerprint(
     }
 
 
-def encode_outcomes(
-    outcomes: Sequence[DesignPoint | DomainError],
-) -> list[list]:
+def encode_outcomes(outcomes: Sequence[DesignPoint | DomainError]) -> list[list]:
     """One JSON row per outcome: designs as float hex, errors by message.
 
     Quarantined points get their own tag (``"q"``) so a resumed sweep
@@ -394,15 +405,8 @@ def encode_outcomes(
         elif isinstance(outcome, DomainError):
             rows.append(["e", str(outcome)])
         else:
-            rows.append(
-                [
-                    "d",
-                    outcome.name,
-                    outcome.area.hex(),
-                    outcome.perf.hex(),
-                    outcome.power.hex(),
-                ]
-            )
+            rows.append(["d", outcome.name, outcome.area.hex(),
+                         outcome.perf.hex(), outcome.power.hex()])
     return rows
 
 
@@ -414,14 +418,10 @@ def decode_outcomes(rows: Sequence[Sequence]) -> list[DesignPoint | DomainError]
             tag = row[0]
             if tag == "d":
                 _, name, area, perf, power = row
-                outcomes.append(
-                    DesignPoint(
-                        name=name,
-                        area=float.fromhex(area),
-                        perf=float.fromhex(perf),
-                        power=float.fromhex(power),
-                    )
-                )
+                outcomes.append(DesignPoint(
+                    name=name, area=float.fromhex(area),
+                    perf=float.fromhex(perf), power=float.fromhex(power),
+                ))
             elif tag == "e":
                 outcomes.append(DomainError(row[1]))
             elif tag == "q":

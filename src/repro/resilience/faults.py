@@ -330,11 +330,12 @@ class FaultPlan:
 # Checkpoint damage
 # ----------------------------------------------------------------------
 def truncate_checkpoint(path: str | os.PathLike, keep_fraction: float = 0.5) -> None:
-    """Truncate a checkpoint file, simulating a torn write.
+    """Truncate a checkpoint journal to *keep_fraction* of its bytes.
 
-    (The real writer cannot produce this state — saves go through
-    write-temp/fsync/rename — so this simulates external damage:
-    a filesystem crash mid-replace, a partial copy, a bad download.)
+    This is a real crash state, not only external damage: a process
+    killed mid-append leaves exactly such a torn tail. Resume keeps the
+    whole records before the cut and recomputes from there (a cut inside
+    the header restarts cold).
     """
     if not 0.0 <= keep_fraction < 1.0:
         raise ValidationError(
@@ -346,10 +347,13 @@ def truncate_checkpoint(path: str | os.PathLike, keep_fraction: float = 0.5) -> 
 
 
 def corrupt_checkpoint(path: str | os.PathLike, *, seed: int = 0) -> None:
-    """Flip one byte of the checkpoint body, deterministically by seed.
+    """Flip one byte of the checkpoint journal, deterministically by seed.
 
-    The flip lands in the payload region (past the header), so the
-    document stays parseable-looking but fails its content checksum.
+    The flip lands in the second half of the file — past the header, in
+    the trailing records — so the journal stays parseable-looking but
+    the hit record fails its checksum, like a torn or bit-rotted tail:
+    resume truncates the journal before that record and recomputes
+    from there.
     """
     path = Path(path)
     data = bytearray(path.read_bytes())

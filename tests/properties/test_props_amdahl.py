@@ -97,9 +97,8 @@ class TestDynamicInvariants:
     def test_speedup_at_most_n(self, n, f):
         assert DynamicMulticore(n, f).speedup <= n + 1e-9
 
-    @given(cores, fractions)
-    def test_pollack_limit_serial(self, n, f):
+    @given(cores)
+    def test_pollack_limit_serial(self, n):
         """Fully serial code on a dynamic chip is the big-core case."""
-        assume(f == 0.0)
         dyn = DynamicMulticore(n, 0.0)
         assert abs(dyn.speedup - big_core_design(n).perf) < 1e-9

@@ -17,6 +17,7 @@ from repro.resilience import (
     sweep_fingerprint,
     truncate_checkpoint,
 )
+from repro.resilience.checkpoint import canonical_json, sha256_hex
 
 FP = {"sampler": "test", "seed": 1}
 
@@ -95,9 +96,13 @@ class TestDamageDetection:
 
     def test_wrong_format_tag_restarts_cold(self, store):
         store.save(kind="sweep", fingerprint=FP, state={})
-        document = json.loads(store.path.read_text())
+        # Re-frame the journal header with a valid checksum, so the
+        # format tag itself is what load_or_restart rejects.
+        header, rest = store.path.read_bytes().split(b"\n", 1)
+        document = json.loads(header.partition(b" ")[2])
         document["format"] = "focal-checkpoint/999"
-        store.path.write_text(json.dumps(document))
+        body = canonical_json(document)
+        store.path.write_bytes(f"{sha256_hex(body)} {body}\n".encode() + rest)
         assert store.load_or_restart(kind="sweep", fingerprint=FP) is None
 
     def test_non_json_restarts_cold(self, store):
