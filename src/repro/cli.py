@@ -840,8 +840,8 @@ def _cmd_store(args: argparse.Namespace) -> int:
         report = store.gc(max_bytes=args.max_bytes)
         print(
             f"gc {args.dir}: removed {report['removed_tmp']} temp files, "
-            f"{report['removed_orphans']} orphaned objects, "
-            f"{report['removed_corrupt']} corrupt entries"
+            f"{report['removed_legacy']} legacy directories, "
+            f"{report['removed_corrupt']} damaged records"
         )
         if report["evicted_fingerprints"]:
             print(

@@ -3,57 +3,77 @@
 :class:`~repro.dse.batch.FactoryCache` memoizes within one process and
 :class:`~repro.resilience.checkpoint.CheckpointStore` resumes one
 interrupted run; both forget everything the moment the process exits or
-the grid changes shape. This module is the third tier: a persistent,
-content-addressed store of factory outcomes that any later sweep of the
-same factory can read — a warm re-sweep loads byte-identical outcomes
-from disk instead of recomputing, and a **delta sweep** over a grid that
-merely *overlaps* a stored one evaluates only the new points and
-stitches the rest from the store.
+the grid changes shape. This module is the third tier: a persistent
+store of factory outcomes that any later sweep of the same factory can
+read — a warm re-sweep loads byte-identical outcomes from disk instead
+of recomputing, and a **delta sweep** over a grid that merely
+*overlaps* a stored one evaluates only the new points and stitches the
+rest from the store.
 
 Keying follows the checkpoint fingerprints: the factory's identity is
-:func:`~repro.resilience.checkpoint.describe_factory`, and every grid
-point is reduced to a canonical key string with ``float.hex`` encoding
-for floats, so two parameter dicts collide exactly when the factory
-would compute bit-identical outcomes for them. Nothing else enters the
-key — not chunk size, not worker count, not baseline or weight — so a
-store written at ``chunk_size=4096, workers=4`` serves a reader at
-``chunk_size=100, workers=0`` bit-exactly (outcomes depend only on
-``factory(params)``).
+:func:`~repro.resilience.checkpoint.describe_factory`, and a chunk's
+points are identified column by column (:func:`chunk_keys`): one key
+column per axis, sorted by axis name, holding the values' raw
+little-endian bit patterns under a type tag — ``f8`` when every value
+is a float, ``i8`` when every value is an int, else ``o``: a JSON list
+of per-value tagged strings (``b1``, ``i2``, ``sname``, ``n``,
+``f<float.hex>``). Two points collide exactly when the factory would
+compute bit-identical outcomes for them: int ``2`` never aliases float
+``2.0`` and ``-0.0`` never aliases ``0.0`` (a conservative miss, never a
+wrong answer). Nothing else enters the key — not chunk size, not worker
+count, not baseline or weight — so a store written at
+``chunk_size=4096, workers=4`` serves a reader at ``chunk_size=100,
+workers=0`` bit-exactly (outcomes depend only on ``factory(params)``).
 
-Two tiers:
-
-* an in-process LRU over decoded outcome chunks (bounded,
-  stats-instrumented like :class:`~repro.dse.batch.CacheStats`), so
-  repeated probes within one process never touch disk twice;
-* an atomic on-disk tier: every file is written
-  temp → ``fsync`` → ``os.replace`` and carries a SHA-256 checksum over
-  its canonical payload. Corruption is never an error and never a wrong
-  answer — a damaged file is discarded, counted in
-  ``focal_store_corrupt_total``, and the affected points recompute.
+Two tiers: an in-process LRU over decoded outcome chunks (bounded,
+stats-instrumented like :class:`~repro.dse.batch.CacheStats`), and
+append-only journals on disk, one per fingerprint, framed like
+checkpoint journals (:class:`~repro.resilience.checkpoint.Journal`):
+a header line written temp → ``fsync`` → rename, then one
+``<sha256-hex> <canonical-json>`` line per record. Storing a chunk
+appends and fsyncs exactly one record; nothing is ever rewritten.
+Damage is never an error and never a wrong answer: a record that fails
+its checksum is skipped and counted in ``focal_store_corrupt_total``
+(its points recompute), a torn tail is cut off by the next append, and
+``gc`` compacts damaged records away.
 
 On-disk layout under the store root::
 
-    focal-store.json                    # marker: {"format": "focal-store/1"}
-    sweeps/<fp>/index.json              # point-key -> object row map
-    sweeps/<fp>/objects/<sha256>.json   # one stored chunk of outcomes
-    mc/<fp>/meta.json                   # the segment stream's fingerprint
-    mc/<fp>/<start>-<count>.json        # Monte-Carlo rng-stream segment
+    focal-store.json       # marker: {"format": "focal-store/2"}
+    sweeps/<fp>.journal    # header {"format", "kind": "sweep", "factory"}
+                           # + one record per stored chunk
+    mc/<fp>.journal        # header {"format", "kind": "mc", "fingerprint"}
+                           # + one record per sampler segment
 
 ``<fp>`` is a hash prefix of the factory description (sweeps) or the
-sampler fingerprint (Monte-Carlo). Objects are content-addressed by the
-SHA-256 of their canonical payload, so identical chunks written twice
-dedupe into one file. ``ResultStore.gc`` removes temp litter, orphaned
-objects and corrupt files, and with ``max_bytes`` evicts whole
-fingerprints oldest-first until the store fits the budget.
+sampler fingerprint (Monte-Carlo). A sweep record is columnar::
+
+    {"keys": [[axis, tag, b64], ...],   # key columns (see above)
+     "status": b64 int8,                # 0 = DesignPoint, 1 = DomainError
+     "area"|"perf"|"power": b64 <f8,    # design fields, 0.0 for errors
+     "text": [...]}                     # design name or error message
+
+and a Monte-Carlo record is ``{"start", "count", "codes": b64 int8,
+"rng_state"}``. Opening a session replays its journal once and maps
+chunks and points to records from the key columns alone; outcome
+columns are decoded on first use. One writer per fingerprint at a time
+is the supported model. Directories left by the ``focal-store/1``
+layout (``index.json`` plus ``objects/``) are never read: ``ls`` lists
+them as ``legacy`` and ``gc`` removes them.
 """
 
 from __future__ import annotations
 
+import base64
+import contextlib
+import dataclasses
+import hashlib
 import json
 import os
-import time
+import shutil
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -65,12 +85,13 @@ from ..obs import metrics as _metrics
 from ..obs.log import get_logger, kv
 from ..resilience.checkpoint import (
     TRANSIENT_DISK_ERRNOS,
+    Journal,
     atomic_write_text,
     canonical_json,
-    decode_outcomes,
     describe_factory,
-    encode_outcomes,
+    frame,
     sha256_hex,
+    unframe,
 )
 
 __all__ = [
@@ -79,33 +100,39 @@ __all__ = [
     "ResultStore",
     "SweepStoreSession",
     "ChunkProbe",
-    "point_store_key",
-    "chunk_store_key",
+    "ChunkKeys",
+    "chunk_keys",
 ]
 
-#: Format tag written into (and required from) every store document.
-STORE_FORMAT = "focal-store/1"
+#: Format tag of the marker file and of every journal header.
+STORE_FORMAT = "focal-store/2"
 
 #: Name of the marker file identifying a directory as a result store
 #: (``gc`` refuses to delete anything from a directory without it).
 MARKER_NAME = "focal-store.json"
 
-#: Sweep sessions persist their index after this many newly stored
-#: chunks (and once more at sweep end), bounding data loss on a crash.
-FLUSH_EVERY_CHUNKS = 16
+
+def _b64(data: bytes) -> str:
+    return base64.b64encode(data).decode("ascii")
+
+
+def _unb64(text: str) -> bytes:
+    return base64.b64decode(text, validate=True)
+
+
+#: What decoding a checksum-valid but malformed record can raise.
+_DAMAGE = (KeyError, TypeError, ValueError)
+
+
+def _fingerprint_hash(payload: object) -> str:
+    return sha256_hex(canonical_json(payload))[:16]
 
 
 # ----------------------------------------------------------------------
-# Point/chunk keys
-#
-# A point key must be equal exactly when the factory would compute the
-# identical outcome: floats go through float.hex (bit-exact, like the
-# checkpoint fingerprints), other JSON scalars keep their type tag so
-# int 2 and float 2.0 never alias (a conservative miss, never a wrong
-# answer).
+# Key columns
 # ----------------------------------------------------------------------
-def _encode_value(value: object) -> str:
-    if isinstance(value, bool):
+def _tagged(value: object) -> str:
+    if isinstance(value, (bool, np.bool_)):
         return "b1" if value else "b0"
     if isinstance(value, (int, np.integer)):
         return f"i{int(value)}"
@@ -116,21 +143,119 @@ def _encode_value(value: object) -> str:
     return "f" + float(value).hex()
 
 
-def point_store_key(params: Mapping[str, object]) -> str:
-    """The canonical store key of one grid point (axis-order free)."""
-    return "\x1e".join(
-        f"{name}={_encode_value(params[name])}" for name in sorted(params)
+def _key_column(values: list) -> tuple[str, bytes]:
+    """``(tag, raw bytes)`` of one axis: little-endian bit patterns when
+    every value is a float (``f8``) or a signed int (``i8``), else the
+    tagged fallback (``o``)."""
+    types = set(map(type, values))
+    if all(issubclass(t, (float, np.floating)) for t in types):
+        return "f8", np.array(values, dtype="<f8").tobytes()
+    if all(
+        issubclass(t, (int, np.signedinteger)) and not issubclass(t, bool)
+        for t in types
+    ):
+        with contextlib.suppress(OverflowError):
+            return "i8", np.array(values, dtype="<i8").tobytes()
+    return "o", canonical_json([_tagged(value) for value in values]).encode()
+
+
+@dataclass(frozen=True)
+class ChunkKeys:
+    """The bit-exact identity of one chunk's points, one key column per
+    (sorted) axis; ``digest`` hashes them all — the fast path a warm
+    re-sweep with unchanged chunking hits (one probe, not N)."""
+
+    names: tuple[str, ...]
+    tags: tuple[str, ...]
+    columns: tuple[bytes, ...]
+    size: int
+    digest: str
+
+    @classmethod
+    def of(cls, names, tags, columns, size: int) -> "ChunkKeys":
+        if any(t != "o" and len(c) != 8 * size for t, c in zip(tags, columns)):
+            raise ValueError("key column length does not match the chunk")
+        digest = hashlib.sha256(canonical_json([names, tags]).encode())
+        for column in columns:
+            digest.update(len(column).to_bytes(8, "little"))
+            digest.update(column)
+        return cls(tuple(names), tuple(tags), tuple(columns), size, digest.hexdigest())
+
+    @property
+    def signature(self) -> tuple:
+        return self.names, self.tags
+
+    def rows(self) -> list[tuple]:
+        """One hashable identity per point (within one signature)."""
+        columns = [
+            json.loads(column) if tag == "o" else np.frombuffer(column, "<u8").tolist()
+            for tag, column in zip(self.tags, self.columns)
+        ]
+        if any(len(column) != self.size for column in columns):
+            raise ValueError("key column length does not match the chunk")
+        return list(zip(*columns)) if columns else [()] * self.size
+
+
+def chunk_keys(chunk: Sequence[Mapping[str, object]]) -> ChunkKeys | None:
+    """The key columns of *chunk*, or ``None`` when its points do not
+    share one axis set (such a chunk is never stored or served)."""
+    names = tuple(sorted(chunk[0])) if chunk else ()
+    if any(len(params) != len(names) for params in chunk):
+        return None
+    try:
+        columns = [_key_column([params[name] for params in chunk]) for name in names]
+    except KeyError:
+        return None
+    return ChunkKeys.of(
+        names,
+        tuple(tag for tag, _ in columns),
+        tuple(data for _, data in columns),
+        len(chunk),
     )
 
 
-def chunk_store_key(keys: Sequence[str]) -> str:
-    """One hash for a whole chunk of point keys — the fast path a warm
-    re-sweep with unchanged chunking hits (one probe, not N)."""
-    return sha256_hex("\x1f".join(keys))
+# ----------------------------------------------------------------------
+# Outcome columns
+# ----------------------------------------------------------------------
+def _encode_outcomes(outcomes: Sequence[DesignPoint | DomainError]) -> dict:
+    errors = [isinstance(outcome, DomainError) for outcome in outcomes]
+    fields = [
+        (0.0, 0.0, 0.0) if error else (outcome.area, outcome.perf, outcome.power)
+        for outcome, error in zip(outcomes, errors)
+    ]
+    columns = np.array(fields, dtype="<f8").reshape(len(outcomes), 3).T
+    return {
+        "status": _b64(bytes(errors)),
+        "area": _b64(columns[0].tobytes()),
+        "perf": _b64(columns[1].tobytes()),
+        "power": _b64(columns[2].tobytes()),
+        "text": [
+            str(outcome) if error else outcome.name
+            for outcome, error in zip(outcomes, errors)
+        ],
+    }
 
 
-def _fingerprint_hash(payload: object) -> str:
-    return sha256_hex(canonical_json(payload))[:16]
+def _decode_outcomes(record: Mapping, size: int) -> list[DesignPoint | DomainError]:
+    status = _unb64(record["status"])
+    area, perf, power = (
+        np.frombuffer(_unb64(record[name]), "<f8").tolist()
+        for name in ("area", "perf", "power")
+    )
+    text = record["text"]
+    if not size == len(status) == len(area) == len(perf) == len(power) == len(text):
+        raise ValueError("outcome columns disagree on the chunk length")
+    return [
+        DomainError(t) if s else DesignPoint(t, a, p, w)
+        for s, t, a, p, w in zip(status, text, area, perf, power)
+    ]
+
+
+def _record_keys(record: Mapping) -> ChunkKeys:
+    names, tags, columns = zip(*record["keys"]) if record["keys"] else ((), (), ())
+    return ChunkKeys.of(
+        names, tags, [_unb64(c) for c in columns], len(_unb64(record["status"]))
+    )
 
 
 # ----------------------------------------------------------------------
@@ -154,7 +279,6 @@ class StoreStats:
     segments_written: int
     bytes_read: int
     bytes_written: int
-    recovered_objects: int = 0
     disk_fallback: bool = False
 
     @property
@@ -172,20 +296,7 @@ class StoreStats:
         return self.hits / self.lookups if self.lookups else 0.0
 
     def as_dict(self) -> dict[str, object]:
-        return {
-            "memory_hits": self.memory_hits,
-            "disk_hits": self.disk_hits,
-            "misses": self.misses,
-            "hit_ratio": self.hit_ratio,
-            "corrupt": self.corrupt,
-            "memory_evictions": self.memory_evictions,
-            "objects_written": self.objects_written,
-            "segments_written": self.segments_written,
-            "bytes_read": self.bytes_read,
-            "bytes_written": self.bytes_written,
-            "recovered_objects": self.recovered_objects,
-            "disk_fallback": self.disk_fallback,
-        }
+        return {**dataclasses.asdict(self), "hit_ratio": self.hit_ratio}
 
 
 @dataclass
@@ -194,10 +305,12 @@ class ChunkProbe:
 
     ``outcomes`` has one slot per chunk row — a decoded outcome for
     stored points, ``None`` for rows the sweep must still evaluate
-    (their indices are in ``missing``).
+    (their indices are in ``missing``). ``keys`` is the chunk's
+    :class:`ChunkKeys` (``None`` for a chunk that cannot be keyed) and
+    ``chunk_hash`` their digest.
     """
 
-    keys: list[str]
+    keys: ChunkKeys | None
     chunk_hash: str
     outcomes: list[DesignPoint | DomainError | None]
     missing: list[int]
@@ -218,7 +331,7 @@ class ChunkProbe:
 # The store
 # ----------------------------------------------------------------------
 class ResultStore:
-    """A persistent, content-addressed store of factory outcomes.
+    """A persistent, journaled store of factory outcomes.
 
     Parameters
     ----------
@@ -227,7 +340,7 @@ class ResultStore:
         directory that is not a store — the marker file guards ``gc``
         and plain writes alike from clobbering unrelated data.
     max_memory_entries:
-        LRU bound of the in-process tier, in decoded chunk objects /
+        LRU bound of the in-process tier, in decoded chunk records /
         Monte-Carlo segments (not points).
     """
 
@@ -241,6 +354,8 @@ class ResultStore:
         self.root = Path(root)
         self.max_memory_entries = max_memory_entries
         self._memory: OrderedDict[tuple, object] = OrderedDict()
+        self._journals: dict[Path, Journal] = {}
+        self._segments: dict[str, dict[tuple[int, int], dict]] = {}
         self._memory_hits = 0
         self._disk_hits = 0
         self._misses = 0
@@ -250,8 +365,8 @@ class ResultStore:
         self._segments_written = 0
         self._bytes_read = 0
         self._bytes_written = 0
-        self._recovered_objects = 0
         self._disk_disabled = False
+        self._marked = False
         if self.root.exists():
             marker = self.root / MARKER_NAME
             if not marker.exists() and any(self.root.iterdir()):
@@ -283,7 +398,6 @@ class ResultStore:
             segments_written=self._segments_written,
             bytes_read=self._bytes_read,
             bytes_written=self._bytes_written,
-            recovered_objects=self._recovered_objects,
             disk_fallback=self._disk_disabled,
         )
 
@@ -293,7 +407,6 @@ class ResultStore:
         self._corrupt = self._memory_evictions = 0
         self._objects_written = self._segments_written = 0
         self._bytes_read = self._bytes_written = 0
-        self._recovered_objects = 0
 
     def _count_hits(self, tier: str, n: int) -> None:
         if not n:
@@ -330,7 +443,7 @@ class ResultStore:
         if registry.enabled:
             registry.counter(
                 "focal_store_corrupt_total",
-                "corrupt result-store files discarded (recomputed)",
+                "damaged result-store records skipped (recomputed)",
             ).inc()
 
     # -- memory tier ---------------------------------------------------
@@ -356,32 +469,36 @@ class ResultStore:
                 ).inc()
 
     # -- disk tier -----------------------------------------------------
-    def _ensure_root(self) -> None:
-        marker = self.root / MARKER_NAME
-        if not marker.exists():
-            self._write_document(marker, {"marker": STORE_FORMAT})
+    def _journal(self, path: Path) -> Journal:
+        """The one :class:`Journal` per file, so every session of this
+        store appends at the same offset."""
+        return self._journals.setdefault(path, Journal(path))
 
-    def _write_document(self, path: Path, payload: object) -> bool:
-        """Atomic checksummed write (temp → fsync → rename), the same
-        durability contract checkpoint journal headers carry.
-
-        Transient disk faults (EIO/ENOSPC) are retried inside
-        :func:`~repro.resilience.checkpoint.atomic_write_text`; when the
-        retry budget is exhausted the store degrades to memory-only for
-        the rest of the process instead of failing the sweep — reads
-        keep working, writes become no-ops (returning ``False``), and
-        the degradation is visible in stats and
+    def _append(self, journal: Journal, header: Mapping, record: bytes) -> bool:
+        """Append *record* (creating the journal and the store marker
+        first when needed). Transient disk faults (EIO/ENOSPC) are
+        retried inside :class:`~repro.resilience.checkpoint.Journal`;
+        when the retry budget is exhausted the store degrades to
+        memory-only for the rest of the process instead of failing the
+        sweep — reads keep working, writes become no-ops (returning
+        ``False``), and the degradation is visible in stats and
         ``focal_store_disk_fallback_total``.
         """
         if self._disk_disabled:
             return False
-        body = canonical_json(payload)
-        document = canonical_json(
-            {"format": STORE_FORMAT, "sha256": sha256_hex(body), "payload": payload}
-        )
+        written = len(record)
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            atomic_write_text(path, document)
+            if not self._marked:
+                marker = self.root / MARKER_NAME
+                text = canonical_json({"format": STORE_FORMAT})
+                if not marker.exists() or marker.read_text("utf-8") != text:
+                    self.root.mkdir(parents=True, exist_ok=True)
+                    atomic_write_text(marker, text)
+                self._marked = True
+            if journal.end is None:
+                journal.create(header)
+                written += journal.end
+            journal.append(record)
         except OSError as exc:
             if exc.errno not in TRANSIENT_DISK_ERRNOS:
                 raise
@@ -389,7 +506,7 @@ class ResultStore:
             get_logger().warning(
                 kv(
                     "store.disk_fallback",
-                    path=str(path),
+                    path=str(journal.path),
                     error=str(exc),
                     action="store degraded to memory-only tier",
                 )
@@ -401,101 +518,106 @@ class ResultStore:
                     "result stores degraded to memory-only after disk faults",
                 ).inc()
             return False
-        self._bytes_written += len(document)
+        self._bytes_written += written
         registry = _metrics.get_registry()
         if registry.enabled:
             registry.counter(
                 "focal_store_bytes_written_total",
                 "bytes written to result-store files",
-            ).inc(len(document))
+            ).inc(written)
         return True
 
-    def _count_recovered(self, n: int) -> None:
-        if not n:
-            return
-        self._recovered_objects += n
-        registry = _metrics.get_registry()
-        if registry.enabled:
-            registry.counter(
-                "focal_store_recovered_total",
-                "stored objects re-indexed after a lost/stale index",
-            ).inc(n)
-
-    def _read_document(self, path: Path) -> dict | None:
-        """The verified payload, or ``None`` (missing file is a plain
-        miss; damage is counted, logged and the file deleted so the
-        recomputed object can be rewritten cleanly)."""
+    def _scan(self, path: Path) -> tuple[list[tuple[bytes, dict]], int, int]:
+        """Replay one journal: ``(lines, end, damaged)``. *lines* holds
+        the valid ``(line, record)`` pairs, header first — empty when
+        the header is missing or damaged, which voids the rest; *end* is
+        the offset after the last whole line; *damaged* counts skipped
+        records (a torn tail included), each noted as corrupt."""
         try:
-            text = path.read_text(encoding="utf-8")
+            lines, tail = Journal(path).lines()
         except FileNotFoundError:
-            return None
+            return [], 0, 0
         except OSError as exc:
             self._note_corrupt(path, f"unreadable: {exc}")
-            return None
-        self._bytes_read += len(text)
-        try:
-            document = json.loads(text)
-        except json.JSONDecodeError as exc:
-            self._discard_corrupt(path, f"not valid JSON: {exc}")
-            return None
-        if (
-            not isinstance(document, dict)
-            or document.get("format") != STORE_FORMAT
-            or not isinstance(document.get("payload"), dict)
-        ):
-            self._discard_corrupt(path, "not a focal-store document")
-            return None
-        payload = document["payload"]
-        if sha256_hex(canonical_json(payload)) != document.get("sha256"):
-            self._discard_corrupt(path, "content checksum mismatch")
-            return None
-        return payload
+            return [], 0, 1
+        self._bytes_read += sum(map(len, lines)) + len(lines) + len(tail)
+        header = unframe(lines[0]) if lines else None
+        if header is None or header.get("format") != STORE_FORMAT:
+            self._note_corrupt(path, "damaged or foreign journal header")
+            return [], 0, 1
+        valid, end, damaged = [(lines[0], header)], len(lines[0]) + 1, 0
+        for number, line in enumerate(lines[1:], start=1):
+            end += len(line) + 1
+            record = unframe(line)
+            if record is None:
+                damaged += 1
+                self._note_corrupt(path, f"record {number} failed its checksum")
+            else:
+                valid.append((line, record))
+        if tail:
+            damaged += 1
+            self._note_corrupt(path, "torn tail (crash mid-append?)")
+        return valid, end, damaged
 
-    def _discard_corrupt(self, path: Path, reason: str) -> None:
-        self._note_corrupt(path, reason)
-        try:
-            path.unlink()
-        except OSError:  # pragma: no cover - already gone / readonly dir
-            pass
+    def _open(self, journal: Journal, header: Mapping) -> list[tuple[str, dict]]:
+        """The ``(record id, record)`` pairs of *journal* if its header
+        is *header*; positions the journal to append after its last whole
+        line (a damaged or foreign journal is recreated on first append)."""
+        lines, end, _ = self._scan(journal.path)
+        if not lines or canonical_json(lines[0][1]) != canonical_json(header):
+            if lines:
+                self._note_corrupt(journal.path, "journal header names another run")
+            journal.end = None
+            return []
+        journal.end = end
+        return [(line[:64].decode("ascii"), record) for line, record in lines[1:]]
 
     # -- sweep tier ----------------------------------------------------
     def sweep_session(self, factory: object) -> "SweepStoreSession":
-        """Open (or create) the per-factory sweep index for one sweep."""
+        """Open (or create) the per-factory sweep journal for one sweep."""
         return SweepStoreSession(self, describe_factory(factory))
 
     # -- Monte-Carlo rng-stream segments -------------------------------
-    def _segment_dir(self, fingerprint: Mapping) -> tuple[Path, str]:
+    def _segment_journal(self, fingerprint: Mapping):
         fp = _fingerprint_hash(fingerprint)
-        return self.root / "mc" / fp, fp
+        header = {"format": STORE_FORMAT, "kind": "mc", "fingerprint": dict(fingerprint)}
+        journal = self._journal(self.root / "mc" / f"{fp}.journal")
+        index = self._segments.get(fp)
+        if index is None:
+            index = self._segments[fp] = {
+                (record.get("start"), record.get("count")): record
+                for _, record in self._open(journal, header)
+            }
+        return fp, journal, header, index
 
     def load_segment(
         self, fingerprint: Mapping, start: int, count: int
     ) -> tuple[np.ndarray, dict] | None:
         """One stored sampler segment: ``(codes, post-segment rng
         state)``, or ``None`` when the store has nothing usable."""
-        directory, fp = self._segment_dir(fingerprint)
+        fp, journal, _, index = self._segment_journal(fingerprint)
         memo_key = ("mc", fp, start, count)
         cached = self._memory_get(memo_key)
         if cached is not None:
             self._count_hits("memory", count)
             codes, state = cached
             return np.array(codes), state
-        payload = self._read_document(directory / f"{start}-{count}.json")
-        if (
-            payload is None
-            or payload.get("start") != start
-            or payload.get("count") != count
-            or not isinstance(payload.get("codes"), list)
-            or len(payload["codes"]) != count
-            or not isinstance(payload.get("rng_state"), dict)
-        ):
-            self._count_misses(count)
-            return None
-        codes = np.asarray(payload["codes"], dtype=np.int8)
-        state = payload["rng_state"]
-        self._memory_put(memo_key, (codes, state))
-        self._count_hits("disk", count)
-        return np.array(codes), state
+        record = index.get((start, count))
+        if record is not None:
+            try:
+                codes = np.frombuffer(_unb64(record["codes"]), np.int8)
+                state = record["rng_state"]
+                if len(codes) != count or not isinstance(state, dict):
+                    raise ValueError("segment does not match its position")
+            except _DAMAGE as exc:
+                self._note_corrupt(journal.path, f"undecodable segment: {exc}")
+                del index[(start, count)]
+            else:
+                self._memory_put(memo_key, (codes, state))
+                self._count_hits("disk", count)
+                return np.array(codes), state
+        self._count_misses(count)
+        return None
 
     def save_segment(
         self,
@@ -508,22 +630,18 @@ class ResultStore:
         """Persist one sampler segment plus the rng state that follows
         it (required: the draw is data-dependent, so a later segment
         can only continue from a restored state, never by skip-ahead)."""
-        self._ensure_root()
-        directory, fp = self._segment_dir(fingerprint)
-        meta = directory / "meta.json"
-        if not meta.exists():
-            self._write_document(meta, {"fingerprint": dict(fingerprint)})
-        self._write_document(
-            directory / f"{start}-{count}.json",
-            {
+        fp, journal, header, index = self._segment_journal(fingerprint)
+        codes = np.asarray(codes, dtype=np.int8)
+        if (start, count) not in index:
+            record = {
                 "start": start,
                 "count": count,
-                "codes": [int(code) for code in codes],
+                "codes": _b64(codes.tobytes()),
                 "rng_state": dict(rng_state),
-            },
-        )
-        self._segments_written += 1
-        codes = np.asarray(codes, dtype=np.int8)
+            }
+            if self._append(journal, header, frame(record)):
+                self._segments_written += 1
+            index[(start, count)] = record
         self._memory_put(("mc", fp, start, count), (codes, dict(rng_state)))
 
     # -- maintenance ---------------------------------------------------
@@ -541,50 +659,45 @@ class ResultStore:
             )
         return False
 
+    def _entries(self) -> list[Path]:
+        """Every fingerprint path: journals and legacy directories."""
+        return [
+            path
+            for kind in ("sweeps", "mc")
+            for path in sorted((self.root / kind).glob("*"))
+            if path.is_dir() or path.suffix == ".journal"
+        ]
+
     def ls(self) -> list[dict]:
-        """One row per stored fingerprint (sweep indexes and
-        Monte-Carlo segment streams), oldest first."""
+        """One row per stored fingerprint (sweep and Monte-Carlo
+        journals, ``legacy`` focal-store/1 directories), oldest first."""
         if not self._require_marker("list"):
             return []
         rows: list[dict] = []
-        for directory in sorted((self.root / "sweeps").glob("*")):
-            if not directory.is_dir():
-                continue
-            index = self._read_document(directory / "index.json") or {}
-            rows.append(
-                {
-                    "kind": "sweep",
-                    "fingerprint": directory.name,
-                    "what": index.get("factory", "?"),
-                    "entries": len(index.get("points", {})),
-                    "files": sum(
-                        1 for _ in directory.glob("objects/*.json")
-                    ),
-                    "bytes": _tree_bytes(directory),
-                    "last_used": _tree_mtime(directory),
-                }
-            )
-        for directory in sorted((self.root / "mc").glob("*")):
-            if not directory.is_dir():
-                continue
-            meta = self._read_document(directory / "meta.json") or {}
-            fingerprint = meta.get("fingerprint", {})
-            segments = [
-                p for p in directory.glob("*.json") if p.name != "meta.json"
-            ]
-            rows.append(
-                {
-                    "kind": "mc",
-                    "fingerprint": directory.name,
-                    "what": str(
+        for path in self._entries():
+            kind = path.parent.name
+            row = {"fingerprint": path.stem, "last_used": path.stat().st_mtime}
+            if path.is_dir():
+                row.update(kind="legacy", what=f"focal-store/1 {kind}", entries=0,
+                           files=sum(1 for p in path.rglob("*") if p.is_file()),
+                           bytes=_tree_bytes(path))
+            else:
+                lines, _, _ = self._scan(path)
+                header = lines[0][1] if lines else {}
+                fingerprint = header.get("fingerprint", {})
+                row.update(
+                    kind="sweep" if kind == "sweeps" else "mc",
+                    what=header.get("factory") or str(
                         fingerprint.get("kind", fingerprint.get("factory", "?"))
                     ),
-                    "entries": len(segments),
-                    "files": len(segments),
-                    "bytes": _tree_bytes(directory),
-                    "last_used": _tree_mtime(directory),
-                }
-            )
+                    entries=sum(
+                        len(record.get("text", ())) if kind == "sweeps" else 1
+                        for _, record in lines[1:]
+                    ),
+                    files=1,
+                    bytes=path.stat().st_size,
+                )
+            rows.append(row)
         rows.sort(key=lambda row: row["last_used"])
         return rows
 
@@ -606,126 +719,55 @@ class ResultStore:
         """Collect garbage; with *max_bytes*, also evict whole
         fingerprints oldest-first until the store fits the budget.
 
-        Removes: temp-file litter from interrupted writes, objects no
-        index references, corrupt indexes/objects/segments (and, for a
-        corrupt index, the whole fingerprint — its objects would all be
-        orphans). Never touches files outside the store root, and
-        refuses to run on a directory without the store marker.
+        Removes temp-file litter from interrupted writes and legacy
+        ``focal-store/1`` directories; compacts every journal holding
+        damaged records (temp → ``fsync`` → rename, keeping its last-use
+        time) and drops a journal whose header is damaged. Never
+        touches files outside the store root, and refuses to run on a
+        directory without the store marker.
         """
-        removed_tmp = removed_orphans = removed_corrupt = 0
-        evicted: list[str] = []
+        report = dict.fromkeys(("removed_tmp", "removed_legacy", "removed_corrupt",
+                                "freed_bytes", "bytes"), 0)
+        report["evicted_fingerprints"] = evicted = []
         if not self._require_marker("gc"):
-            return {
-                "removed_tmp": 0,
-                "removed_orphans": 0,
-                "removed_corrupt": 0,
-                "recovered_objects": 0,
-                "evicted_fingerprints": [],
-                "freed_bytes": 0,
-                "bytes": 0,
-            }
-        recovered_before = self._recovered_objects
+            return report
         before = _tree_bytes(self.root)
         for tmp in self.root.rglob("*.tmp.*"):
             tmp.unlink(missing_ok=True)
-            removed_tmp += 1
-        for directory in sorted((self.root / "sweeps").glob("*")):
-            if not directory.is_dir():
+            report["removed_tmp"] += 1
+        journals: dict[Path, os.stat_result] = {}
+        for path in self._entries():
+            if path.is_dir():
+                shutil.rmtree(path, ignore_errors=True)
+                report["removed_legacy"] += 1
                 continue
-            corrupt_before = self._corrupt
-            index = self._read_document(directory / "index.json")
-            if index is None:
-                # No (valid) index — but objects are self-describing, so
-                # a lost index is rebuildable from the surviving valid
-                # objects; only a fingerprint with nothing valid left is
-                # actually unreachable and removed.
-                removed_corrupt += self._corrupt - corrupt_before
-                index = self._rebuild_index(directory)
-                if index is None:
-                    _remove_tree(directory)
-                    continue
-            referenced = {entry[0] for entry in index.get("points", {}).values()}
-            referenced.update(index.get("chunks", {}).values())
-            for obj in directory.glob("objects/*.json"):
-                if obj.stem not in referenced:
-                    obj.unlink(missing_ok=True)
-                    removed_orphans += 1
-        for directory in sorted((self.root / "mc").glob("*")):
-            if not directory.is_dir():
+            lines, _, damaged = self._scan(path)
+            report["removed_corrupt"] += damaged
+            if not lines:
+                path.unlink(missing_ok=True)
                 continue
-            for segment in directory.glob("*.json"):
-                corrupt_before = self._corrupt
-                if self._read_document(segment) is None:
-                    removed_corrupt += self._corrupt - corrupt_before
-        if max_bytes is not None:
-            candidates = [
-                directory
-                for parent in ("sweeps", "mc")
-                for directory in (self.root / parent).glob("*")
-                if directory.is_dir()
-            ]
-            candidates.sort(key=_tree_mtime)
-            while candidates and _tree_bytes(self.root) > max_bytes:
-                victim = candidates.pop(0)
-                evicted.append(f"{victim.parent.name}/{victim.name}")
-                _remove_tree(victim)
-        after = _tree_bytes(self.root)
-        self._memory.clear()
-        return {
-            "recovered_objects": self._recovered_objects - recovered_before,
-            "removed_tmp": removed_tmp,
-            "removed_orphans": removed_orphans,
-            "removed_corrupt": removed_corrupt,
-            "evicted_fingerprints": evicted,
-            "freed_bytes": max(0, before - after),
-            "bytes": after,
-        }
-
-    def _rebuild_index(self, directory: Path) -> dict | None:
-        """Rebuild a sweep index from its surviving object files.
-
-        Objects are self-describing (factory description, point keys,
-        outcomes), so a lost or corrupt index never strands committed
-        work — this is the same recovery
-        :class:`SweepStoreSession` performs on open, shared with ``gc``.
-        Returns ``None`` when no valid object survives.
-        """
-        points: dict[str, list] = {}
-        chunks: dict[str, str] = {}
-        factory = None
-        for path in sorted(directory.glob("objects/*.json")):
-            payload = self._read_document(path)
-            if payload is None:
-                continue
-            keys = payload.get("keys")
-            outcomes = payload.get("outcomes")
-            if (
-                not isinstance(keys, list)
-                or not isinstance(outcomes, list)
-                or len(keys) != len(outcomes)
-                or not isinstance(payload.get("factory"), str)
-            ):
-                continue
-            if factory is None:
-                factory = payload["factory"]
-            elif payload["factory"] != factory:
-                continue
-            chunks.setdefault(chunk_store_key(keys), path.stem)
-            for row, key in enumerate(keys):
-                points.setdefault(key, [path.stem, row])
-        if not chunks:
-            return None
-        index = {"factory": factory, "points": points, "chunks": chunks}
-        if self._write_document(directory / "index.json", index):
-            self._count_recovered(len(chunks))
-            get_logger().warning(
-                kv(
-                    "store.index_rebuilt",
-                    directory=str(directory),
-                    objects=len(chunks),
+            if damaged:
+                used = path.stat().st_mtime
+                atomic_write_text(
+                    path, b"".join(line + b"\n" for line, _ in lines).decode("utf-8")
                 )
-            )
-        return index
+                os.utime(path, (used, used))
+            journals[path] = path.stat()
+        total = _tree_bytes(self.root)
+        if max_bytes is not None:
+            for path in sorted(journals, key=lambda p: journals[p].st_mtime):
+                if total <= max_bytes:
+                    break
+                path.unlink(missing_ok=True)
+                total -= journals.pop(path).st_size
+                evicted.append(f"{path.parent.name}/{path.stem}")
+        # Re-position every journal this process appends to.
+        for path, journal in self._journals.items():
+            journal.end = journals[path].st_size if path in journals else None
+        self._segments.clear()
+        self._memory.clear()
+        report.update(freed_bytes=max(0, before - total), bytes=total)
+        return report
 
 
 def _tree_bytes(root: Path) -> int:
@@ -734,184 +776,137 @@ def _tree_bytes(root: Path) -> int:
     )
 
 
-def _tree_mtime(root: Path) -> float:
-    """Last-use time of a fingerprint directory: newest file mtime
-    (sessions touch their index on read-only use)."""
-    times = [path.stat().st_mtime for path in root.rglob("*") if path.is_file()]
-    return max(times, default=0.0)
-
-
-def _remove_tree(root: Path) -> None:
-    for path in sorted(root.rglob("*"), reverse=True):
-        if path.is_file():
-            path.unlink(missing_ok=True)
-        else:
-            try:
-                path.rmdir()
-            except OSError:  # pragma: no cover - non-empty race
-                pass
-    try:
-        root.rmdir()
-    except OSError:  # pragma: no cover
-        pass
-
-
 # ----------------------------------------------------------------------
 # Sweep sessions
 # ----------------------------------------------------------------------
 class SweepStoreSession:
     """One sweep's view of the store, bound to one factory identity.
 
-    The session loads the factory's point index once, answers chunk
-    probes from it (memory tier first, then content-addressed object
-    files), collects newly evaluated chunks, and persists the merged
-    index atomically — every :data:`FLUSH_EVERY_CHUNKS` stored chunks
-    and once at :meth:`flush` from the sweep's ``finally``.
+    Opening replays the factory's journal once and maps chunk digests to
+    records; the point → (record, row) map for cross-chunking lookups is
+    built from the key columns on the first chunk-digest miss. Probes
+    decode outcome columns per record through the store's LRU; every
+    newly evaluated chunk is appended as one record.
     """
 
     def __init__(self, store: ResultStore, factory_desc: str) -> None:
         self.store = store
         self.factory = factory_desc
         fp = _fingerprint_hash({"factory": factory_desc})
-        self.directory = store.root / "sweeps" / fp
-        index = store._read_document(self.directory / "index.json") or {}
-        points = index.get("points", {})
-        chunks = index.get("chunks", {})
-        self._points: dict[str, list] = points if isinstance(points, dict) else {}
-        self._chunks: dict[str, str] = chunks if isinstance(chunks, dict) else {}
-        self._bad_objects: set[str] = set()
-        self._dirty = 0
+        self.journal = store._journal(store.root / "sweeps" / f"{fp}.journal")
+        self._header = {"format": STORE_FORMAT, "kind": "sweep", "factory": factory_desc}
+        self._records: list[tuple[str, ChunkKeys, dict]] = []
+        self._chunks: dict[str, int] = {}
+        self._points: dict[tuple, dict[tuple, tuple[int, int]]] | None = None
+        self._bad: set[int] = set()
         self._probed = False
-        self._recover_unindexed()
+        for record_id, record in store._open(self.journal, self._header):
+            try:
+                keys = _record_keys(record)
+            except _DAMAGE as exc:
+                store._note_corrupt(self.journal.path, f"unreadable key columns: {exc}")
+                continue
+            self._add(record_id, keys, record)
 
-    def _recover_unindexed(self) -> None:
-        """Re-index committed objects the index does not reference.
+    def _add(self, record_id: str, keys: ChunkKeys, record: dict) -> None:
+        index = len(self._records)
+        self._records.append((record_id, keys, record))
+        self._chunks[keys.digest] = index
+        if self._points is not None:
+            self._index_points(index)
 
-        The index is flushed only every :data:`FLUSH_EVERY_CHUNKS`
-        stored chunks, so a crash between flushes (or a corrupt index)
-        leaves valid, fully written object files behind that the loaded
-        index has never heard of. Objects are self-describing, so they
-        are folded back in here — a resumed sweep re-reads them instead
-        of recomputing. The rebuilt entries flush with the next index
-        write.
-        """
-        objects_dir = self.directory / "objects"
-        if not objects_dir.is_dir():
+    def _index_points(self, index: int) -> None:
+        keys = self._records[index][1]
+        try:
+            rows = keys.rows()
+        except ValueError as exc:
+            self._discard(index, f"unreadable key columns: {exc}")
             return
-        referenced = {
-            entry[0]
-            for entry in self._points.values()
-            if isinstance(entry, (list, tuple)) and entry
-        }
-        referenced.update(self._chunks.values())
-        recovered = 0
-        for path in sorted(objects_dir.glob("*.json")):
-            if path.stem in referenced:
-                continue
-            payload = self.store._read_document(path)
-            if payload is None or payload.get("factory") != self.factory:
-                continue
-            keys = payload.get("keys")
-            outcomes = payload.get("outcomes")
-            if (
-                not isinstance(keys, list)
-                or not isinstance(outcomes, list)
-                or len(keys) != len(outcomes)
-            ):
-                continue
-            self._chunks.setdefault(chunk_store_key(keys), path.stem)
-            for row, key in enumerate(keys):
-                self._points.setdefault(key, [path.stem, row])
-            recovered += 1
-        if recovered:
-            self._dirty += 1
-            self.store._count_recovered(recovered)
-            get_logger().info(
-                kv(
-                    "store.recovered",
-                    factory=self.factory,
-                    objects=recovered,
-                )
-            )
+        self._points.setdefault(keys.signature, {}).update(
+            zip(rows, zip(repeat(index), range(len(rows))))
+        )
+
+    def _discard(self, index: int, reason: str) -> None:
+        self.store._note_corrupt(self.journal.path, reason)
+        self._bad.add(index)
+        digest = self._records[index][1].digest
+        if self._chunks.get(digest) == index:
+            del self._chunks[digest]
 
     # -- reading -------------------------------------------------------
     def probe(self, chunk: Sequence[Mapping[str, object]]) -> ChunkProbe:
         """What the store holds for *chunk* (never raises; a fully
         unknown chunk comes back with every row missing)."""
         self._probed = True
-        keys = [point_store_key(params) for params in chunk]
-        chunk_hash = chunk_store_key(keys)
-        object_id = self._chunks.get(chunk_hash)
-        if object_id is not None:
-            outcomes, tier = self._load_object(object_id)
-            if outcomes is not None and len(outcomes) == len(chunk):
-                self.store._count_hits(tier, len(chunk))
-                return ChunkProbe(
-                    keys=keys,
-                    chunk_hash=chunk_hash,
-                    outcomes=list(outcomes),
-                    missing=[],
-                    memory_points=len(chunk) if tier == "memory" else 0,
-                    disk_points=len(chunk) if tier != "memory" else 0,
-                )
-            self._chunks.pop(chunk_hash, None)
+        keys = chunk_keys(chunk)
         outcomes: list = [None] * len(chunk)
-        wanted: dict[str, list[tuple[int, int]]] = {}
-        for row, key in enumerate(keys):
-            entry = self._points.get(key)
-            if (
-                isinstance(entry, (list, tuple))
-                and len(entry) == 2
-                and entry[0] not in self._bad_objects
-            ):
-                wanted.setdefault(entry[0], []).append((row, int(entry[1])))
         memory = disk = 0
-        for object_id, rows in wanted.items():
-            data, tier = self._load_object(object_id)
-            if data is None:
-                continue
-            for row, source in rows:
-                if 0 <= source < len(data):
-                    outcomes[row] = data[source]
-                    if tier == "memory":
-                        memory += 1
-                    else:
-                        disk += 1
+        if keys is not None and self._records:
+            index = self._chunks.get(keys.digest)
+            cached = self._outcomes(index) if index is not None else None
+            if cached is not None and len(cached[0]) == len(chunk):
+                data, tier = cached
+                outcomes = list(data)
+                memory, disk = (len(chunk), 0) if tier == "memory" else (0, len(chunk))
+            else:
+                memory, disk = self._gather(keys, outcomes)
         missing = [row for row, outcome in enumerate(outcomes) if outcome is None]
         self.store._count_hits("memory", memory)
         self.store._count_hits("disk", disk)
         self.store._count_misses(len(missing))
         return ChunkProbe(
             keys=keys,
-            chunk_hash=chunk_hash,
+            chunk_hash=keys.digest if keys is not None else "",
             outcomes=outcomes,
             missing=missing,
             memory_points=memory,
             disk_points=disk,
         )
 
-    def _load_object(self, object_id: str):
-        """Decoded outcomes of one stored chunk, LRU'd per process."""
-        memo_key = ("sweep", object_id)
-        cached = self.store._memory_get(memo_key)
+    def _gather(self, keys: ChunkKeys, outcomes: list) -> tuple[int, int]:
+        """Fill *outcomes* point by point from any stored chunk;
+        ``(memory, disk)`` rows filled."""
+        if self._points is None:
+            self._points = {}
+            for index in range(len(self._records)):
+                self._index_points(index)
+        table = self._points.get(keys.signature)
+        if not table:
+            return 0, 0
+        wanted: dict[int, list[tuple[int, int]]] = {}
+        for row, key in enumerate(keys.rows()):
+            entry = table.get(key)
+            if entry is not None:
+                wanted.setdefault(entry[0], []).append((row, entry[1]))
+        memory = disk = 0
+        for index, rows in wanted.items():
+            cached = self._outcomes(index)
+            if cached is None:
+                continue
+            data, tier = cached
+            for row, source in rows:
+                outcomes[row] = data[source]
+            if tier == "memory":
+                memory += len(rows)
+            else:
+                disk += len(rows)
+        return memory, disk
+
+    def _outcomes(self, index: int):
+        """``(decoded outcomes, tier)`` of one record, LRU'd per
+        process; ``None`` for a record that does not decode."""
+        if index in self._bad:
+            return None
+        record_id, keys, record = self._records[index]
+        cached = self.store._memory_get(("sweep", record_id))
         if cached is not None:
             return cached, "memory"
-        payload = self.store._read_document(
-            self.directory / "objects" / f"{object_id}.json"
-        )
-        if payload is None or not isinstance(payload.get("outcomes"), list):
-            self._bad_objects.add(object_id)
-            return None, "disk"
         try:
-            outcomes = decode_outcomes(payload["outcomes"])
-        except Exception as exc:
-            self.store._note_corrupt(
-                self.directory / "objects" / f"{object_id}.json",
-                f"undecodable outcomes: {exc}",
-            )
-            self._bad_objects.add(object_id)
-            return None, "disk"
-        self.store._memory_put(memo_key, outcomes)
+            outcomes = _decode_outcomes(record, keys.size)
+        except _DAMAGE as exc:
+            self._discard(index, f"undecodable outcomes: {exc}")
+            return None
+        self.store._memory_put(("sweep", record_id), outcomes)
         return outcomes, "disk"
 
     # -- writing -------------------------------------------------------
@@ -921,8 +916,8 @@ class SweepStoreSession:
         outcomes: Sequence[DesignPoint | DomainError],
         probe: ChunkProbe | None = None,
     ) -> None:
-        """Store one fully evaluated chunk (idempotent: a chunk the
-        index already covers in full is not rewritten).
+        """Store one fully evaluated chunk as one appended record
+        (idempotent: a chunk the journal already holds is not appended).
 
         Chunks holding quarantined points are not stored: a
         :class:`~repro.core.errors.QuarantinedPoint` is containment
@@ -931,54 +926,27 @@ class SweepStoreSession:
         """
         if any(isinstance(outcome, QuarantinedPoint) for outcome in outcomes):
             return
-        if probe is not None:
-            keys, chunk_hash = probe.keys, probe.chunk_hash
-        else:
-            keys = [point_store_key(params) for params in chunk]
-            chunk_hash = chunk_store_key(keys)
-        if self._chunks.get(chunk_hash) is not None:
+        keys = probe.keys if probe is not None else chunk_keys(chunk)
+        if keys is None or keys.digest in self._chunks:
             return
-        payload = {
-            "factory": self.factory,
-            "keys": keys,
-            "outcomes": encode_outcomes(outcomes),
+        record = {
+            "keys": [
+                [name, tag, _b64(column)]
+                for name, tag, column in zip(keys.names, keys.tags, keys.columns)
+            ],
+            **_encode_outcomes(outcomes),
         }
-        object_id = sha256_hex(canonical_json(payload))
-        self.store._ensure_root()
-        path = self.directory / "objects" / f"{object_id}.json"
-        if not path.exists() and self.store._write_document(path, payload):
+        line = frame(record)
+        if self.store._append(self.journal, self._header, line):
             self.store._objects_written += 1
-        for row, key in enumerate(keys):
-            self._points[key] = [object_id, row]
-        self._chunks[chunk_hash] = object_id
-        self._bad_objects.discard(object_id)
-        self.store._memory_put(("sweep", object_id), list(outcomes))
-        self._dirty += 1
-        if self._dirty >= FLUSH_EVERY_CHUNKS:
-            self.flush()
+        record_id = line[:64].decode("ascii")
+        self._add(record_id, keys, record)
+        self.store._memory_put(("sweep", record_id), list(outcomes))
 
     def flush(self) -> None:
-        """Persist the index (merged over any concurrent writer's), or
-        just freshen its mtime after a read-only sweep so ``gc``
-        eviction ordering sees the use."""
-        index_path = self.directory / "index.json"
-        if not self._dirty:
-            if self._probed and index_path.exists():
-                os.utime(index_path, (time.time(), time.time()))
-            return
-        on_disk = self.store._read_document(index_path) or {}
-        points = on_disk.get("points", {})
-        chunks = on_disk.get("chunks", {})
-        if not isinstance(points, dict):
-            points = {}
-        if not isinstance(chunks, dict):
-            chunks = {}
-        points.update(self._points)
-        chunks.update(self._chunks)
-        self.store._ensure_root()
-        self.store._write_document(
-            index_path,
-            {"factory": self.factory, "points": points, "chunks": chunks},
-        )
-        self._points, self._chunks = points, chunks
-        self._dirty = 0
+        """Freshen the journal's mtime after a sweep that read it, so
+        ``gc`` eviction ordering sees the use (every stored chunk is
+        already durable: ``put`` appends and fsyncs it)."""
+        if self._probed:
+            with contextlib.suppress(OSError):
+                os.utime(self.journal.path)

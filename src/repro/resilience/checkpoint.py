@@ -17,6 +17,10 @@ far. A crash mid-append leaves a torn line the checksum exposes:
 :meth:`CheckpointStore.load` raises on it; :meth:`CheckpointStore.
 load_or_restart` logs it, truncates it and resumes from the valid
 prefix, so the final output and journal bytes match a fault-free run.
+
+The framing (:func:`frame`/:func:`unframe`) and the durable file
+operations (:class:`Journal`) are shared with the result store's
+journals in :mod:`repro.dse.store`.
 """
 
 from __future__ import annotations
@@ -38,6 +42,9 @@ from ..obs.log import get_logger, kv
 __all__ = [
     "CHECKPOINT_FORMAT",
     "CheckpointStore",
+    "Journal",
+    "frame",
+    "unframe",
     "sweep_fingerprint",
     "encode_outcomes",
     "decode_outcomes",
@@ -149,13 +156,14 @@ def sha256_hex(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _frame(payload: object) -> bytes:
-    """One journal line: ``<sha256-hex> <canonical-json>\n``."""
-    body = canonical_json(payload)
-    return f"{sha256_hex(body)} {body}\n".encode("utf-8")
+def frame(payload: object) -> bytes:
+    """One journal line: ``<sha256-hex> <canonical-json>\n`` (the
+    checksum is computed once, over exactly the body bytes written)."""
+    body = canonical_json(payload).encode("utf-8")
+    return hashlib.sha256(body).hexdigest().encode("ascii") + b" " + body + b"\n"
 
 
-def _unframe(line: bytes) -> dict | None:
+def unframe(line: bytes) -> dict | None:
     """The record on one journal line (sans newline); ``None`` if damaged."""
     digest, _, body = line.partition(b" ")
     if hashlib.sha256(body).hexdigest().encode("ascii") != digest:
@@ -167,6 +175,51 @@ def _unframe(line: bytes) -> dict | None:
     return record if isinstance(record, dict) else None
 
 
+class Journal:
+    """One append-only file of :func:`frame` lines. :meth:`create`
+    writes the header temp → ``fsync`` → rename; :meth:`append` writes
+    one record at :attr:`end`, cuts off whatever followed it (a torn
+    tail) and fsyncs, truncating a failed try back before its retry.
+    ``OSError`` from a fault that persists propagates to the caller."""
+
+    def __init__(self, path: str | os.PathLike) -> None:
+        self.path = Path(path)
+        self.end: int | None = None  # append offset; None = no journal yet
+
+    def lines(self) -> tuple[list[bytes], bytes]:
+        """The newline-terminated lines (sans newline) and the torn
+        tail after the last one (``b""`` when the last append finished)."""
+        *lines, tail = self.path.read_bytes().split(b"\n")
+        return lines, tail
+
+    def create(self, header: Mapping) -> None:
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        atomic_write_text(self.path, frame(header).decode("utf-8"))
+        # Durability of the rename (best-effort: not every platform
+        # opens directories).
+        with contextlib.suppress(OSError):
+            fd = os.open(self.path.parent, os.O_RDONLY)
+            try:
+                os.fsync(fd)
+            finally:
+                os.close(fd)
+        self.end = self.path.stat().st_size
+
+    def append(self, record: bytes) -> None:
+        start = self.end
+
+        def write() -> None:
+            with open(self.path, "r+b") as handle:
+                handle.seek(start)
+                handle.write(record)
+                handle.truncate()
+                handle.flush()
+                os.fsync(handle.fileno())
+
+        _durably(self.path, write, lambda: os.truncate(self.path, start))
+        self.end = start + len(record)
+
+
 class CheckpointStore:
     """One checkpoint journal with appending saves and checksum-verified
     loads. A store appends to the journal it last saved to or resumed
@@ -174,7 +227,7 @@ class CheckpointStore:
 
     def __init__(self, path: str | os.PathLike) -> None:
         self.path = Path(path)
-        self._end: int | None = None  # append offset; None = new journal
+        self._journal = Journal(self.path)
 
     @classmethod
     def coerce(
@@ -190,7 +243,7 @@ class CheckpointStore:
 
     def remove(self) -> None:
         """Delete the checkpoint file if present; the next save starts afresh."""
-        self._end = None
+        self._journal.end = None
         try:
             self.path.unlink()
         except FileNotFoundError:
@@ -205,39 +258,16 @@ class CheckpointStore:
         fault truncates the append back to its start and retries; a write
         that still fails raises :class:`CheckpointError`, so callers can
         continue without checkpointing rather than abort the run."""
-        record = _frame(state)
+        record = frame(state)
         try:
-            if self._end is None:
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                header = {"format": CHECKPOINT_FORMAT, "kind": kind,
-                          "fingerprint": fingerprint}
-                atomic_write_text(self.path, _frame(header).decode("utf-8"))
-                self._fsync_dir()
-                self._end = self.path.stat().st_size
-            start = self._end
-
-            def append() -> None:
-                with open(self.path, "r+b") as handle:
-                    handle.seek(start)
-                    handle.write(record)
-                    handle.flush()
-                    os.fsync(handle.fileno())
-
-            _durably(self.path, append, lambda: os.truncate(self.path, start))
+            if self._journal.end is None:
+                self._journal.create({"format": CHECKPOINT_FORMAT, "kind": kind,
+                                      "fingerprint": fingerprint})
+            self._journal.append(record)
         except OSError as exc:
             raise CheckpointError(
                 f"checkpoint {self.path} could not be written: {exc}"
             ) from exc
-        self._end = start + len(record)
-
-    def _fsync_dir(self) -> None:
-        """Durability of the header's rename (best-effort)."""
-        with contextlib.suppress(OSError):  # not every platform opens dirs
-            fd = os.open(self.path.parent, os.O_RDONLY)
-            try:
-                os.fsync(fd)
-            finally:
-                os.close(fd)
 
     # ------------------------------------------------------------------
     # Loading
@@ -284,7 +314,7 @@ class CheckpointStore:
             # and the run continues without checkpointing.
             with contextlib.suppress(OSError):
                 os.truncate(self.path, end)
-        self._end = end
+        self._journal.end = end
         return payload["state"] or None
 
     def _note_corrupt(self, reason: str) -> None:
@@ -306,20 +336,19 @@ class CheckpointStore:
         """Fold the valid prefix: ``(payload, end offset, damage)``;
         *damage* names the first bad record. A bad header raises."""
         try:
-            data = self.path.read_bytes()
+            lines, tail = self._journal.lines()
         except FileNotFoundError:
             raise CheckpointError(f"checkpoint {self.path} does not exist")
         except OSError as exc:
             raise CheckpointError(f"checkpoint {self.path} unreadable: {exc}")
-        *lines, tail = data.split(b"\n")
-        header = _unframe(lines[0]) if lines else None
+        header = unframe(lines[0]) if lines else None
         if header is None or header.get("format") != CHECKPOINT_FORMAT:
             raise _CorruptCheckpoint(f"checkpoint {self.path} does not start with a "
                                      f"{CHECKPOINT_FORMAT!r} header (older format, or damaged)")
         state: dict = {}
         end, damage = len(lines[0]) + 1, None
         for number, line in enumerate(lines[1:], start=1):
-            record = _unframe(line)
+            record = unframe(line)
             if record is None:
                 damage = f"record {number} failed its checksum (corrupted)"
                 break

@@ -183,15 +183,18 @@ class TestComposition:
 
     def test_corrupt_object_recomputes_bit_exact(self, tmp_path):
         cold = _explorer().explore_arrays(GRID, store=ResultStore(tmp_path))
-        victim = sorted(tmp_path.glob("sweeps/*/objects/*.json"))[0]
-        victim.write_text("garbage")
+        (journal,) = tmp_path.glob("sweeps/*.journal")
+        data = bytearray(journal.read_bytes())
+        first_record = data.index(b"\n") + 1  # just past the header
+        data[first_record + 100] ^= 0x01  # damage the first chunk's record
+        journal.write_bytes(bytes(data))
         store = ResultStore(tmp_path)
         warm_explorer = _explorer()
         warm = warm_explorer.explore_arrays(GRID, store=store)
-        assert store.stats().corrupt >= 1
-        assert warm_explorer.last_sweep.fresh_points > 0  # recomputed
+        assert store.stats().corrupt == 1
+        assert warm_explorer.last_sweep.fresh_points == 32  # that chunk recomputed
         _assert_bit_exact(warm, cold)
-        # The rewrite healed the store: next sweep is fully warm again.
+        # The re-appended record healed the store: next sweep is fully warm.
         healed = _explorer()
         healed.explore_arrays(GRID, store=ResultStore(tmp_path))
         assert healed.last_sweep.fresh_points == 0

@@ -15,7 +15,7 @@ from repro.core.scenario import EMBODIED_DOMINATED
 from repro.dse.batch import BatchExplorer
 from repro.dse.factories import SymmetricMulticoreFactory
 from repro.dse.grid import ParameterGrid, linear_range
-from repro.dse.store import ResultStore, point_store_key
+from repro.dse.store import ResultStore, chunk_keys
 
 BASELINE = DesignPoint.baseline("1-BCE single core")
 FRACTIONS = linear_range(0.5, 0.99, 6)
@@ -119,4 +119,4 @@ def test_delta_sweep_evaluates_exactly_the_new_points(
 )
 def test_point_keys_are_axis_order_free(params):
     reordered = dict(reversed(list(params.items())))
-    assert point_store_key(params) == point_store_key(reordered)
+    assert chunk_keys([params]) == chunk_keys([reordered])
