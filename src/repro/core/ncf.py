@@ -139,10 +139,12 @@ def ncf_band(
     nominal = ncf(design, baseline, scenario, weight.alpha)
     at_low = ncf(design, baseline, scenario, weight.low)
     at_high = ncf(design, baseline, scenario, weight.high)
+    # The nominal lies between the edges exactly, but rounding can put it
+    # an ulp outside them when the band is (nearly) zero-width.
     return NCFBand(
         nominal=nominal,
-        low=min(at_low, at_high),
-        high=max(at_low, at_high),
+        low=min(at_low, at_high, nominal),
+        high=max(at_low, at_high, nominal),
     )
 
 
