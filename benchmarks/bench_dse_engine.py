@@ -21,7 +21,7 @@ Times the paths the batch engine replaces —
   category counts and cache contents) and a **never-slower** speedup
   gate enforced on every host: >= 1.0 anywhere, >= 2.0 on hosts with
   at least 4 CPUs. A forced ``workers=4`` pool is timed alongside as
-  an advisory figure, and serial/static/work-stealing schedules are
+  an advisory figure, and serial and work-stealing runs are
   cross-checked for identical result, cache and checkpoint bytes;
 * the persistent result store (``repro.dse.store``): a warm re-sweep
   of a 20k-point compute-heavy grid served entirely from disk against
@@ -80,7 +80,7 @@ PARALLEL_WORKERS = 4
 #: multicore (>= 4 CPUs) it must win by at least 2x.
 PARALLEL_SPEEDUP_GATE_MULTICORE = 2.0
 FIXED_POINT_ITERS = 2500
-#: Smaller grid for the schedule byte-identity cross-check (three full
+#: Smaller grid for the schedule byte-identity cross-check (two full
 #: sweeps; identity is geometry-independent, so keep them cheap).
 SCHEDULE_GRID = ParameterGrid(
     {
@@ -402,7 +402,6 @@ def test_parallel_columnar_sweep(benchmark, emit):
             "parallel_forced_gate_enforced": False,
             "parallel_worker_utilization": forced_explorer.last_sweep.worker_utilization,
             "parallel_shm_bytes": forced_explorer.last_sweep.shm_bytes,
-            "parallel_scheduler": forced_explorer.last_sweep.scheduler,
         }
     )
     assert max_diff == 0.0
@@ -421,16 +420,15 @@ def test_parallel_columnar_sweep(benchmark, emit):
 
 
 def test_parallel_schedule_byte_identity(emit, tmp_path):
-    """Serial, static shards and work-stealing shards must be fully
-    interchangeable: identical result bytes, identical cache contents,
-    identical checkpoint bytes (the fingerprint deliberately excludes
-    workers/scheduler/spill, so a checkpoint written under any schedule
-    resumes under any other)."""
+    """Serial and work-stealing shards must be fully interchangeable:
+    identical result bytes, identical cache contents, identical
+    checkpoint bytes (the fingerprint deliberately excludes
+    workers/spill, so a checkpoint written under either schedule
+    resumes under the other)."""
     runs = {}
     for key, kwargs in (
         ("serial", dict(workers=0)),
-        ("static", dict(workers=2, scheduler="static")),
-        ("steal", dict(workers=2, scheduler="steal")),
+        ("steal", dict(workers=2)),
     ):
         factory = IterativeFixedPointFactory(iters=SCHEDULE_ITERS)
         explorer = BatchExplorer(
@@ -465,7 +463,7 @@ def test_parallel_schedule_byte_identity(emit, tmp_path):
     assert ckpt_equal
     emit(
         f"schedule identity: {len(SCHEDULE_GRID)} points x "
-        "{serial, static, steal} -> identical result, cache and "
+        "{serial, steal} -> identical result, cache and "
         "checkpoint bytes"
     )
 

@@ -15,7 +15,9 @@ mirroring how ``bench_obs_overhead`` gates observability:
   patterns. The containment scenarios extend the same gate: poison
   points are quarantined with every *survivor* byte-identical, a
   wedged pool is watchdog-reaped well inside its hang, and a salvaged
-  partial run resumes to byte-identical completion.
+  partial run resumes to byte-identical completion. Faults fire inside
+  ``batch_arrays`` (``FaultPlan.wrap_vector``), so every chaos sweep
+  runs on the parallel-columnar worker pool.
 
 The module writes ``BENCH_resilience.json`` at the repo root and
 **gates** both properties at teardown: every chaos scenario that ran
@@ -110,7 +112,7 @@ def unguarded_explore_arrays(
                 if use_vector:
                     outcomes = explorer._vector_chunk(chunk)
                 else:
-                    outcomes = explorer._evaluate_chunk(chunk, None)
+                    outcomes = explorer._evaluate_chunk(chunk)
                 for params, outcome in zip(chunk, outcomes):
                     if isinstance(outcome, DomainError):
                         continue
@@ -271,7 +273,7 @@ def test_cold_sweep_checkpointed(benchmark, tmp_path, emit):
 def test_chaos_injected_crash(tmp_path, fast_policy, reference, emit):
     plan = FaultPlan.plan(CHAOS_GRID, seed=11, state_dir=tmp_path, crashes=1)
     explorer = _cold_explorer(
-        factory=plan.wrap(FACTORY),
+        factory=plan.wrap_vector(FACTORY),
         chunk_size=CHAOS_CHUNK,
         workers=2,
         resilience=fast_policy,
@@ -291,7 +293,7 @@ def test_chaos_injected_timeout(tmp_path, reference, emit):
     )
     policy = RetryPolicy(max_retries=2, backoff_base_s=0.001, chunk_timeout_s=2.0)
     explorer = _cold_explorer(
-        factory=plan.wrap(FACTORY),
+        factory=plan.wrap_vector(FACTORY),
         chunk_size=CHAOS_CHUNK,
         workers=2,
         resilience=policy,
@@ -313,12 +315,12 @@ def test_chaos_kill_then_resume(tmp_path, reference, emit):
     ckpt = tmp_path / "sweep.ckpt"
     plan = FaultPlan.plan(CHAOS_GRID, seed=19, state_dir=tmp_path, crashes=1)
     doomed = _cold_explorer(
-        factory=plan.wrap(FACTORY), chunk_size=CHAOS_CHUNK, workers=2
+        factory=plan.wrap_vector(FACTORY), chunk_size=CHAOS_CHUNK, workers=2
     )
     with pytest.raises(BrokenProcessPool):
         doomed.explore_arrays(CHAOS_GRID, checkpoint=ckpt)
     resumed = _cold_explorer(
-        factory=plan.wrap(FACTORY), chunk_size=CHAOS_CHUNK, workers=2
+        factory=plan.wrap_vector(FACTORY), chunk_size=CHAOS_CHUNK, workers=2
     )
     result = resumed.explore_arrays(CHAOS_GRID, checkpoint=ckpt, resume=True)
     assert_identical(result, reference)
@@ -336,7 +338,7 @@ def test_chaos_poison_quarantine(tmp_path, fast_policy, reference, emit):
     plan = FaultPlan.plan(CHAOS_GRID, seed=23, state_dir=tmp_path, poisons=2)
     policy = RetryPolicy(max_retries=1, backoff_base_s=0.001, chunk_timeout_s=15.0)
     explorer = _cold_explorer(
-        factory=plan.wrap(FACTORY),
+        factory=plan.wrap_vector(FACTORY),
         chunk_size=CHAOS_CHUNK,
         workers=2,
         resilience=policy,
@@ -368,7 +370,7 @@ def test_chaos_watchdog_reap(tmp_path, reference, emit):
         heartbeat_timeout_s=0.5,
     )
     explorer = _cold_explorer(
-        factory=plan.wrap(FACTORY),
+        factory=plan.wrap_vector(FACTORY),
         chunk_size=CHAOS_CHUNK,
         workers=2,
         resilience=policy,
@@ -401,7 +403,7 @@ def test_chaos_salvage_then_resume(tmp_path, fast_policy, reference, emit):
         salvage=True,
     )
     doomed = _cold_explorer(
-        factory=plan.wrap(FACTORY),
+        factory=plan.wrap_vector(FACTORY),
         chunk_size=CHAOS_CHUNK,
         workers=2,
         resilience=salvage_policy,
@@ -411,7 +413,7 @@ def test_chaos_salvage_then_resume(tmp_path, fast_policy, reference, emit):
     assert partial.failure.checkpoint == str(ckpt)
 
     resumed = _cold_explorer(
-        factory=plan.wrap(FACTORY),
+        factory=plan.wrap_vector(FACTORY),
         chunk_size=CHAOS_CHUNK,
         workers=2,
         resilience=fast_policy,

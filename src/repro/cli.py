@@ -254,19 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "process-pool workers (0 = in-process, 'auto' = calibrate: "
             "time the first chunk and engage a pool only when the "
-            "dispatch math wins); a cold sweep of a vector factory runs "
-            "parallel-columnar: the grid resides in shared memory and "
-            "chunk-aligned shards return results via shared memory"
-        ),
-    )
-    sweep.add_argument(
-        "--scheduler",
-        choices=("steal", "static"),
-        default="steal",
-        help=(
-            "shard schedule for worker pools: 'steal' (default) queues "
-            "geometrically-shrinking shards that idle workers pick up, "
-            "'static' pre-assigns equal spans"
+            "dispatch math wins); only a cold sweep runs on the pool "
+            "(parallel-columnar: grid and results in shared memory), "
+            "warm re-sweeps run in-process"
         ),
     )
     sweep.add_argument(
@@ -666,7 +656,6 @@ def _cmd_sweep(
     store: str | None = None,
     quarantine: str | None = None,
     salvage: bool = False,
-    scheduler: str = "steal",
     spill_dir: str | None = None,
     spill_bytes: int | None = None,
 ) -> int:
@@ -690,7 +679,7 @@ def _cmd_sweep(
     )
     # A vector factory (frozen dataclass, picklable for --workers):
     # cold sweeps run columnar (parallel-columnar with --workers, grid
-    # shards dispatched as columns), warm re-sweeps hit the cache.
+    # shards dispatched as index spans), warm re-sweeps hit the cache.
     # Worker runs are supervised: crashed or hung workers are retried,
     # the pool is respawned, and as a last resort evaluation degrades
     # in-process — the sweep finishes either way.
@@ -710,7 +699,6 @@ def _cmd_sweep(
         chunk_size=chunk_size,
         workers=workers,
         resilience=policy,
-        scheduler=scheduler,
         spill_dir=spill_dir,
         spill_bytes=spill_bytes,
     )
@@ -916,7 +904,6 @@ def _dispatch(args: argparse.Namespace) -> int:
             args.store,
             args.quarantine,
             args.salvage,
-            args.scheduler,
             args.spill_dir,
             args.spill_bytes,
         )

@@ -5,7 +5,7 @@ time; every NCF and every verdict is a scalar Python call. This module
 provides the production path for large sweeps:
 
 * :class:`BatchExplorer` streams grid points in chunks, evaluates the
-  design factory (serially or over a ``ProcessPoolExecutor``), collects
+  design factory, collects
   the area/energy/power ratios into arrays, and computes all NCFs,
   classifications and category histograms in single vectorized passes
   over :mod:`repro.core.batch` kernels;
@@ -20,16 +20,18 @@ provides the production path for large sweeps:
   stock implementations); warm sweeps keep the scalar + cache path,
   which is already a dict probe per point;
 * with ``workers > 0`` a cold vector-factory sweep runs
-  **parallel-columnar**: the grid is sharded into contiguous,
-  chunk-aligned spans, each span ships to a worker as axis *columns*
-  (one job per span, never per point), workers run ``batch_arrays``
-  over their shard and write the result columns into one
-  ``multiprocessing.shared_memory`` block (compact pickled arrays when
-  shared memory is unavailable — see :mod:`repro.dse.parallel`). The
-  factory ships once per pool via an initializer; no DesignPoint ever
-  crosses the process boundary. The parent then materializes points,
-  re-evaluates invalid rows scalar to capture genuine ``DomainError``
-  objects, and fills the cache — byte-identical to ``workers=0``;
+  **parallel-columnar**: the grid's axis columns are published once
+  into shared memory, sharded into contiguous, chunk-aligned spans
+  (one job per span, never per point), and workers run
+  ``batch_arrays`` over their shard and write the result columns into
+  one shared block (see :mod:`repro.dse.parallel`). The factory ships
+  once per pool via an initializer; no DesignPoint ever crosses the
+  process boundary. The parent then materializes points, re-evaluates
+  invalid rows scalar to capture genuine ``DomainError`` objects, and
+  fills the cache — byte-identical to ``workers=0``. Every other
+  sweep (warm cache, scalar-only factory, non-numeric axis, no shared
+  backing) runs in-process whatever ``workers`` says: a design point
+  costs microseconds, so only a whole cold columnar sweep repays a pool;
 * :class:`BatchSweepResult` holds the sweep as arrays and converts back
   to the scalar :class:`~repro.dse.explorer.ExplorationResult` objects
   on demand.
@@ -294,12 +296,6 @@ class _SalvageAbort(Exception):
     the chunk loop, keep the completed prefix, report the failure."""
 
 
-def _scalar_job_params(job: Mapping[str, object]) -> Mapping[str, object]:
-    """Quarantine ``describe`` hook for the scalar pool path, where a
-    job *is* its grid-point parameter dict."""
-    return job
-
-
 def _chunked(
     points: Iterable[Mapping[str, object]], size: int
 ) -> Iterator[list[Mapping[str, object]]]:
@@ -349,7 +345,6 @@ class _ParallelPlan:
         spill_dir: str | None = None,
         planned: set[int] | None = None,
         arena: "_parallel.GridArena | None" = None,
-        scheduler: str = "steal",
     ) -> None:
         self.chunks = chunks
         self.chunk_size = chunk_size
@@ -366,10 +361,9 @@ class _ParallelPlan:
         #: Crash-spill directory for worker events (None when telemetry
         #: is off) — collected and removed when the sweep winds down.
         self.spill_dir = spill_dir
-        #: The published input-grid columns (None when the axes cannot
-        #: be hosted — jobs then carry their columns by value).
+        #: The published input-grid columns (None when nothing is
+        #: dispatched).
         self.arena = arena
-        self.scheduler = scheduler
         #: Captured at setup — the segments are released before stats
         #: are cut.
         self.shm_bytes = block.nbytes + (arena.nbytes if arena else 0)
@@ -388,14 +382,6 @@ class _ParallelPlan:
     def tail_shard_points(self) -> int:
         """The smallest dispatched span, in grid points."""
         return min((hi - lo for lo, hi in self.spans), default=0)
-
-    def points(self, lo: int, hi: int) -> list[Mapping[str, object]]:
-        """The grid-point dicts of span ``[lo, hi)`` (chunk-aligned)."""
-        first = lo // self.chunk_size
-        last = -(-hi // self.chunk_size)
-        return [
-            params for chunk in self.chunks[first:last] for params in chunk
-        ]
 
     def chunk_arrays(self, index: int) -> DesignArrays:
         """Chunk *index*'s kernel columns, copied out of the block (so
@@ -507,9 +493,9 @@ class SweepEngineStats:
 
     ``mode`` names the execution path the engine resolved to:
     ``"parallel-columnar"`` (cold vector factory, worker pool, shard
-    dispatch), ``"columnar"`` (cold vector factory, single process),
-    ``"scalar-pool"`` (per-point factory calls over a worker pool) or
-    ``"scalar"`` (per-point calls in-process). ``fallback_points``
+    dispatch), ``"columnar"`` (cold vector factory, single process) or
+    ``"scalar"`` (per-point calls in-process); ``workers`` is the
+    resolved worker count (0 for the in-process modes). ``fallback_points``
     counts grid points that were evaluated through the scalar factory
     *although* the factory is vector-capable (warm cache, or rows
     needing point materialization) — the ``focal_vector_fallback_total``
@@ -529,11 +515,9 @@ class SweepEngineStats:
     shard_points: int = 0
     shm_bytes: int = 0
     worker_utilization: float = 0.0
-    #: Shard scheduling of a parallel-columnar sweep ("steal" or
-    #: "static"; "" otherwise), the smallest dispatched shard in grid
-    #: points (the steal tail), and spill-file bytes backing the
-    #: sweep's segments (0 unless out-of-core).
-    scheduler: str = ""
+    #: The smallest dispatched shard in grid points (the steal tail),
+    #: and spill-file bytes backing the sweep's segments (0 unless
+    #: out-of-core).
     tail_shard_points: int = 0
     spill_bytes: int = 0
     #: True when ``workers="auto"`` resolved this sweep's worker count
@@ -584,9 +568,8 @@ class SweepEngineStats:
                 else ", workers auto->serial"
             )
         if self.shards:
-            sched = f", {self.scheduler}" if self.scheduler else ""
             line += (
-                f", {self.shards} shards (<= {self.shard_points} pts{sched}) "
+                f", {self.shards} shards (<= {self.shard_points} pts) "
                 f"x {self.workers} workers, "
                 f"{self.worker_utilization:.0%} kernel utilization"
             )
@@ -631,7 +614,6 @@ class SweepEngineStats:
                 shard_points=self.shard_points,
                 shm_bytes=self.shm_bytes,
                 worker_utilization=self.worker_utilization,
-                scheduler=self.scheduler,
                 tail_shard_points=self.tail_shard_points,
             )
         if self.spill_bytes:
@@ -726,24 +708,21 @@ class BatchExplorer:
         Grid points are streamed in chunks of this size, bounding
         memory on huge grids.
     workers:
-        When > 0, factory evaluation of uncached points fans out over a
-        ``ProcessPoolExecutor`` with this many workers. Factories must
-        then be picklable (module-level functions); the pool only pays
-        off when a single factory call is expensive relative to ~1 ms
-        of IPC per chunk. The string ``"auto"`` calibrates instead of
-        guessing: the first chunk is timed in-process and the pool
-        engages only when the projected serial time is large enough
-        for dispatch to win (otherwise the sweep runs the columnar
-        ``workers=0`` path — never slower than serial by construction).
-        The calibration chunk's arrays are reused, so auto costs no
-        extra kernel work on the sweep it serves.
-    scheduler:
-        Shard scheduling for the parallel-columnar path. ``"steal"``
-        (the default) plans geometrically shrinking chunk-aligned
-        shards and submits one executor future each, so idle workers
-        pull the next shard off the shared call queue the moment they
-        finish one; ``"static"`` keeps the legacy fixed
-        shards-per-worker spans.
+        When > 0, a cold sweep of a :class:`VectorFactory` over numeric
+        axes runs parallel-columnar on a pool of this many worker
+        processes (the factory must then be picklable): geometrically
+        shrinking chunk-aligned shards, one executor future each, so
+        idle workers pull the next shard off the shared call queue.
+        Every other sweep — warm or half-warm cache, scalar-only
+        factory, non-numeric axis, or no shared-memory/spill backing —
+        resolves to 0 and runs in-process; ``last_sweep.workers``
+        reports the resolved count. The string ``"auto"`` calibrates
+        instead of guessing: the first chunk is timed in-process and
+        the pool engages only when the projected serial time is large
+        enough for dispatch to win (otherwise the sweep runs the
+        columnar ``workers=0`` path — never slower than serial by
+        construction). The calibration chunk's arrays are reused, so
+        auto costs no extra kernel work on the sweep it serves.
     spill_dir, spill_bytes:
         Out-of-core policy. When ``spill_bytes`` is set, any shared
         sweep segment (result block, resident grid columns) at or above
@@ -773,7 +752,6 @@ class BatchExplorer:
     workers: int | str = 0
     cache: FactoryCache = field(default=None)  # type: ignore[assignment]
     resilience: RetryPolicy | None = None
-    scheduler: str = "steal"
     spill_dir: str | os.PathLike | None = None
     spill_bytes: int | None = None
     #: Engine execution snapshot of the most recent sweep (set by
@@ -810,11 +788,6 @@ class BatchExplorer:
                 )
         elif self.workers < 0:
             raise ValidationError(f"workers must be >= 0, got {self.workers}")
-        if self.scheduler not in ("steal", "static"):
-            raise ValidationError(
-                f"scheduler must be 'steal' or 'static', got "
-                f"{self.scheduler!r}"
-            )
         if self.spill_bytes is not None and self.spill_bytes < 0:
             raise ValidationError(
                 f"spill_bytes must be >= 0, got {self.spill_bytes}"
@@ -853,37 +826,46 @@ class BatchExplorer:
     def _activate_workers(self, grid: ParameterGrid) -> int:
         """Resolve ``workers`` for this sweep, calibrating ``"auto"``.
 
-        Auto on a cold :class:`VectorFactory` times the first chunk's
-        ``batch_arrays`` in-process and projects the serial sweep time;
-        the pool engages only when dispatch can win by a margin, so the
-        auto path is never slower than ``workers=0`` (when it declines,
-        it *is* the ``workers=0`` path, and the calibration arrays are
-        reused for the first chunk). A warm cache or a scalar-only
-        factory resolves to 0 — the memoized scalar path is already a
-        dict probe per point.
+        A pool is only considered for a cold sweep of a
+        :class:`VectorFactory` whose axes can all live in a
+        :class:`~repro.dse.parallel.GridArena`; every other sweep
+        resolves to 0 — a warm cache is already a dict probe per point,
+        and a design point costs microseconds, so per-point dispatch
+        never pays. (:meth:`explore_arrays` also resolves to 0 when the
+        shared segments get no backing.)
+
+        Auto times the first chunk's ``batch_arrays`` in-process and
+        projects the serial sweep time; the pool engages only when
+        dispatch can win by a margin, so the auto path is never slower
+        than ``workers=0`` (when it declines, it *is* the ``workers=0``
+        path, and the calibration arrays are reused for the first
+        chunk).
         """
         object.__setattr__(self, "_cal", None)
-        if self.workers != "auto":
-            object.__setattr__(self, "_active_workers", self.workers)
-            return self.workers
         resolved = 0
-        if len(self.cache) == 0 and is_vector_factory(self.factory):
-            chunk = next(_chunked(iter(grid), self.chunk_size), [])
-            if not chunk:
-                object.__setattr__(self, "_active_workers", 0)
-                return 0
-            columns = self._chunk_columns(chunk)
-            begin = time.perf_counter()
-            arrays = self.factory.batch_arrays(columns)
-            elapsed = time.perf_counter() - begin
-            if len(arrays) != len(chunk):
-                raise ConfigurationError(
-                    f"batch_arrays returned {len(arrays)} rows for a "
-                    f"{len(chunk)}-point chunk"
-                )
-            serial_est = elapsed / max(1, len(chunk)) * len(grid)
-            resolved = self._auto_decision(serial_est, self._cpu_count())
-            object.__setattr__(self, "_cal", (len(chunk), arrays))
+        if (
+            self.workers
+            and len(self.cache) == 0
+            and is_vector_factory(self.factory)
+            and _parallel.hostable(grid.axes)
+        ):
+            if self.workers != "auto":
+                resolved = self.workers
+            else:
+                chunk = next(_chunked(iter(grid), self.chunk_size), [])
+                if chunk:
+                    columns = self._chunk_columns(chunk)
+                    begin = time.perf_counter()
+                    arrays = self.factory.batch_arrays(columns)
+                    elapsed = time.perf_counter() - begin
+                    if len(arrays) != len(chunk):
+                        raise ConfigurationError(
+                            f"batch_arrays returned {len(arrays)} rows for a "
+                            f"{len(chunk)}-point chunk"
+                        )
+                    serial_est = elapsed / max(1, len(chunk)) * len(grid)
+                    resolved = self._auto_decision(serial_est, self._cpu_count())
+                    object.__setattr__(self, "_cal", (len(chunk), arrays))
         object.__setattr__(self, "_active_workers", resolved)
         return resolved
 
@@ -900,69 +882,34 @@ class BatchExplorer:
     # Factory evaluation (cached, optionally parallel)
     # ------------------------------------------------------------------
     def _evaluate_chunk(
-        self,
-        chunk: Sequence[Mapping[str, object]],
-        pool: ProcessPoolExecutor | SupervisedPool | None,
+        self, chunk: Sequence[Mapping[str, object]]
     ) -> list[DesignPoint | DomainError]:
+        """Evaluate (or recall) one chunk through the scalar factory.
+
+        Hot loop: keys come pre-built by params_keys (one name sort per
+        chunk) and the per-point work is one dict probe. Counters are
+        accumulated locally and flushed once through record().
+        """
         cache = self.cache
-        if pool is None:
-            # Hot loop: keys come pre-built by params_keys (one name
-            # sort per chunk) and the per-point work is one dict probe.
-            # Counters are accumulated locally and flushed once through
-            # record().
-            entries = cache._entries
-            factory = self.factory
-            outcomes: list[DesignPoint | DomainError] = []
-            hits = 0
-            misses = 0
-            for key, params in zip(params_keys(chunk), chunk):
-                outcome = entries.get(key)
-                if outcome is None:
-                    misses += 1
-                    try:
-                        outcome = factory(params)
-                    except DomainError as exc:
-                        outcome = exc
-                    entries[key] = outcome
-                else:
-                    hits += 1
-                outcomes.append(outcome)
-            cache.record(hits=hits, misses=misses)
-            return outcomes
-        keys = params_keys(chunk)
-        outcomes: list[DesignPoint | DomainError | None] = []
-        pending: list[int] = []
-        for index, key in enumerate(keys):
-            outcome = cache.lookup(key)
+        entries = cache._entries
+        factory = self.factory
+        outcomes: list[DesignPoint | DomainError] = []
+        hits = 0
+        misses = 0
+        for key, params in zip(params_keys(chunk), chunk):
+            outcome = entries.get(key)
             if outcome is None:
-                pending.append(index)
-            outcomes.append(outcome)
-        cache.record(hits=len(chunk) - len(pending), misses=len(pending))
-        if pending:
-            # The factory itself shipped once, at pool creation, via the
-            # worker initializer — each job carries only its param dict.
-            jobs = [chunk[index] for index in pending]
-            if isinstance(pool, SupervisedPool):
-                evaluated: Iterable = pool.run(
-                    _parallel.pool_evaluate, jobs, describe=_scalar_job_params
-                )
+                misses += 1
+                try:
+                    outcome = factory(params)
+                except DomainError as exc:
+                    outcome = exc
+                entries[key] = outcome
             else:
-                evaluated = pool.map(_parallel.pool_evaluate, jobs)
-            incomplete = 0
-            for index, outcome in zip(pending, evaluated):
-                if outcome is INCOMPLETE:
-                    # Salvaged slot: never cache a sentinel; the chunk
-                    # as a whole is unfinished and aborts the sweep.
-                    incomplete += 1
-                    continue
-                cache.store(keys[index], outcome)
-                outcomes[index] = outcome
-            if incomplete:
-                raise _SalvageAbort(
-                    f"worker pool never completed {incomplete} point(s) "
-                    "of this chunk"
-                )
-        return outcomes  # type: ignore[return-value]
+                hits += 1
+            outcomes.append(outcome)
+        cache.record(hits=hits, misses=misses)
+        return outcomes
 
     # ------------------------------------------------------------------
     # Columnar (VectorFactory) evaluation
@@ -973,15 +920,14 @@ class BatchExplorer:
         The columnar kernels engage only on a genuinely cold sweep: a
         vector-capable factory and an empty cache (a warm cache means
         the memoized scalar path is already a dict probe per point,
-        which the columnar path cannot beat). With workers the cold
-        columnar sweep runs *parallel*-columnar — grid shards dispatch
-        to the pool as columns (:mod:`repro.dse.parallel`) — and the
-        non-columnar pool path is ``scalar-pool``. Decided once at
-        sweep start.
+        which the columnar path cannot beat). With resolved workers the
+        cold columnar sweep runs *parallel*-columnar — grid shards
+        dispatch to the pool (:mod:`repro.dse.parallel`). Decided once
+        at sweep start.
         """
         if len(self.cache) == 0 and is_vector_factory(self.factory):
             return "parallel-columnar" if self._pool_workers else "columnar"
-        return "scalar-pool" if self._pool_workers else "scalar"
+        return "scalar"
 
     @staticmethod
     def _chunk_columns(
@@ -1074,15 +1020,15 @@ class BatchExplorer:
     # ------------------------------------------------------------------
     def _make_pool(
         self,
-        initializer: Callable,
-        initargs: tuple,
-        parent_block: "_parallel.ColumnarBlock | None" = None,
-        capture: bool = False,
-        quarantine: "QuarantineSession | None" = None,
-        parent_grid: "_parallel.GridArena | None" = None,
-        scratch_dir: "str | None" = None,
+        block: "_parallel.ColumnarBlock",
+        arena: "_parallel.GridArena",
+        capture: bool,
+        spill: "str | None",
+        quarantine: "QuarantineSession | None",
+        scratch_dir: "str | None",
     ) -> "ProcessPoolExecutor | SupervisedPool":
-        """A worker pool whose *initializer* ships per-pool state once.
+        """A worker pool whose initializer attaches every worker to the
+        sweep's result block and grid arena once.
 
         The parent mirrors the worker state first (its own factory and
         its own block/arena objects, never a second shm attachment), so
@@ -1091,11 +1037,20 @@ class BatchExplorer:
         processes would. With *capture* the parent's own event buffer
         is armed too (no spill — the parent cannot crash out from under
         itself), so degraded in-process shards leave the same timeline
-        events a worker would. *scratch_dir* (out-of-core sweeps) roots
-        the heartbeat watchdog's files under the sweep's spill dir.
+        events a worker would; workers spill to *spill*. *scratch_dir*
+        (out-of-core sweeps) roots the heartbeat watchdog's files under
+        the sweep's spill dir.
         """
-        _parallel.set_worker_state(self.factory, parent_block, parent_grid)
+        _parallel.set_worker_state(self.factory, block, arena)
         _events.init_worker(capture, None)
+        initargs = (
+            self.factory,
+            block.name,
+            block.total,
+            (arena.name, arena.layout, arena.total),
+            capture,
+            spill,
+        )
         if self.resilience is not None:
             monitor = None
             if (
@@ -1106,51 +1061,58 @@ class BatchExplorer:
             return SupervisedPool(
                 self._pool_workers,
                 self.resilience,
-                initializer=initializer,
+                initializer=_parallel.init_columnar_worker,
                 initargs=initargs,
                 quarantine=quarantine,
                 monitor=monitor,
             )
         return ProcessPoolExecutor(
             max_workers=self._pool_workers,
-            initializer=initializer,
+            initializer=_parallel.init_columnar_worker,
             initargs=initargs,
         )
 
-    def _grid_columns(self, grid: ParameterGrid) -> dict[str, np.ndarray]:
-        """One full-grid NumPy column per axis, by stride arithmetic.
+    @staticmethod
+    def _axis_columns(
+        grid: ParameterGrid,
+    ) -> Callable[[int, int], dict[str, np.ndarray]]:
+        """A function giving the axis columns of grid points ``[lo, hi)``
+        by stride arithmetic — shared by the resident grid arena and the
+        chunked columnar count.
 
         Grid iteration is row-major over the cartesian product, so
         point ``i`` takes value ``axis[(i // stride) % len(axis)]``
-        where an axis's stride is the product of the later axes' sizes
-        — the same construction :meth:`_count_columnar` relies on.
+        where an axis's stride is the product of the later axes' sizes.
         """
         names = list(grid.axes)
         values = [np.asarray(grid.axes[name]) for name in names]
-        sizes = [v.shape[0] for v in values]
         strides = [1] * len(names)
         for axis in range(len(names) - 2, -1, -1):
-            strides[axis] = strides[axis + 1] * sizes[axis + 1]
-        rows = np.arange(len(grid))
-        return {
-            name: axis_values[(rows // stride) % size]
-            for name, axis_values, stride, size in zip(
-                names, values, strides, sizes
-            )
-        }
+            strides[axis] = strides[axis + 1] * values[axis + 1].shape[0]
+
+        def columns(lo: int, hi: int) -> dict[str, np.ndarray]:
+            rows = np.arange(lo, hi)
+            return {
+                name: axis_values[(rows // stride) % axis_values.shape[0]]
+                for name, axis_values, stride in zip(names, values, strides)
+            }
+
+        return columns
 
     def _parallel_setup(
         self,
         chunks: list[Sequence[Mapping[str, object]]],
         restored: int,
+        grid: ParameterGrid,
         probes: "dict[int, ChunkProbe] | None" = None,
         qsession: "QuarantineSession | None" = None,
         blocked: "set[int] | None" = None,
-        grid: "ParameterGrid | None" = None,
-    ) -> _ParallelPlan:
+    ) -> "_ParallelPlan | None":
         """Allocate the sweep's shared block, publish the input grid
         columns, plan the shard spans over the still-pending chunks,
-        and spawn the pool.
+        and spawn the pool — or return ``None`` (releasing any segment
+        already made) when the block or the arena gets no shared
+        backing, in which case the sweep runs in-process columnar.
 
         The first *restored* chunks came from a checkpoint, and chunks
         whose *probe* found any stored rows are resolved in the parent
@@ -1171,6 +1133,8 @@ class BatchExplorer:
         total = sum(len(chunk) for chunk in chunks)
         spill_kw = dict(spill_dir=self.spill_dir, spill_bytes=self.spill_bytes)
         block = _parallel.ColumnarBlock.allocate(total, **spill_kw)
+        if block is None:
+            return None
         pending: set[int] = set()
         for index in range(restored, len(chunks)):
             if blocked and index in blocked:
@@ -1179,15 +1143,15 @@ class BatchExplorer:
             if probe is None or not probe.hit_points:
                 pending.add(index)
         planned = set(pending)
-        if chunks and 0 in pending:
-            cal = self._take_cal_arrays(len(chunks[0]))
-            if cal is not None:
-                # Prefill the calibration chunk: its rows read back via
-                # chunk_arrays like any dispatched chunk's would.
-                block.write(
-                    0, len(chunks[0]), cal.area, cal.perf, cal.power, cal.valid
-                )
-                pending.discard(0)
+        cal_first = (
+            0 in pending
+            and self._cal is not None
+            and self._cal[0] == len(chunks[0])
+        )
+        if cal_first:
+            # Prefilled below: its rows read back via chunk_arrays like
+            # any dispatched chunk's would.
+            pending.discard(0)
         runs: list[tuple[int, int]] = []
         for index in sorted(pending):
             lo = index * self.chunk_size
@@ -1196,40 +1160,24 @@ class BatchExplorer:
                 runs[-1] = (runs[-1][0], hi)
             else:
                 runs.append((lo, hi))
-        planner = (
-            _parallel.plan_steal_runs
-            if self.scheduler == "steal"
-            else _parallel.plan_shard_runs
-        )
-        spans = planner(runs, self.chunk_size, self._pool_workers)
-        arena = None
-        if spans and grid is not None:
-            arena = _parallel.GridArena.publish(
-                self._grid_columns(grid), **spill_kw
-            )
-        pool = None
-        capture = _events.get_log().enabled
-        scratch = (
-            os.fspath(self.spill_dir) if self.spill_dir is not None else None
-        )
-        spill = (
-            _events.make_spill_dir(base=scratch) if capture and spans else None
-        )
+        spans = _parallel.plan_steal_runs(runs, self.chunk_size, self._pool_workers)
+        arena = pool = spill = None
         if spans:
-            grid_descriptor = (
-                (arena.name, arena.layout, arena.total)
-                if arena is not None
-                else None
+            arena = _parallel.GridArena.publish(
+                self._axis_columns(grid)(0, total), **spill_kw
             )
-            pool = self._make_pool(
-                _parallel.init_columnar_worker,
-                (self.factory, block.name, total, capture, spill, grid_descriptor),
-                parent_block=block,
-                capture=capture,
-                quarantine=qsession,
-                parent_grid=arena,
-                scratch_dir=scratch,
+            if arena is None:
+                block.release()
+                return None
+            capture = _events.get_log().enabled
+            scratch = (
+                os.fspath(self.spill_dir) if self.spill_dir is not None else None
             )
+            spill = _events.make_spill_dir(base=scratch) if capture else None
+            pool = self._make_pool(block, arena, capture, spill, qsession, scratch)
+        if cal_first:
+            cal = self._take_cal_arrays(len(chunks[0]))
+            block.write(0, len(chunks[0]), cal.area, cal.perf, cal.power, cal.valid)
         return _ParallelPlan(
             chunks,
             self.chunk_size,
@@ -1239,18 +1187,17 @@ class BatchExplorer:
             spill_dir=spill,
             planned=planned,
             arena=arena,
-            scheduler=self.scheduler,
         )
 
     def _parallel_kernels(
         self, plan: _ParallelPlan, tracer: _trace.Tracer
     ) -> None:
         """The kernel phase: run ``batch_arrays`` over every pending
-        shard span on the pool and land the result columns in the block.
+        shard span on the pool, landing the result columns in the block.
 
-        One job per span — ``(start, stop, axis columns)`` out, compact
-        numeric arrays (or an already-written shm acknowledgement) back.
-        Shard writes are idempotent, so supervised retry/respawn/
+        One job per span — ``(lo, hi, seq)`` out (workers slice their
+        columns from the published arena), a compact acknowledgement
+        back. Shard writes are idempotent, so supervised retry/respawn/
         degradation re-runs are safe. Busy seconds accumulate for the
         worker-utilization gauge and, per worker, into the
         ``focal_worker_busy_seconds`` histogram; worker events riding
@@ -1260,23 +1207,13 @@ class BatchExplorer:
             return
         registry = _metrics.get_registry()
         log = _events.get_log()
-        if plan.arena is not None:
-            # Resident grid: a job is three integers; workers slice
-            # their columns from the published arena locally.
-            jobs = [(lo, hi, seq) for seq, (lo, hi) in enumerate(plan.spans)]
-        else:
-            jobs = [
-                (lo, hi, self._chunk_columns(plan.points(lo, hi)))
-                for lo, hi in plan.spans
-            ]
+        jobs = [(lo, hi, seq) for seq, (lo, hi) in enumerate(plan.spans)]
         with tracer.span(
             "kernels",
             shards=len(jobs),
             shard_points=plan.shard_points,
             workers=self._pool_workers,
             shm_bytes=plan.shm_bytes,
-            scheduler=plan.scheduler,
-            grid_resident=plan.arena is not None,
             spill_bytes=plan.spill_nbytes,
         ):
             begin = time.perf_counter()
@@ -1286,7 +1223,6 @@ class BatchExplorer:
                     jobs,
                     splitter=_parallel.split_shard_job,
                     describe=_parallel.shard_job_point,
-                    schedule="queue" if plan.scheduler == "steal" else "batch",
                 )
             else:
                 replies = plan.pool.map(_parallel.eval_shard, jobs)
@@ -1307,10 +1243,8 @@ class BatchExplorer:
                 subreplies = (
                     reply.replies if isinstance(reply, BisectOutcome) else (reply,)
                 )
-                for lo, hi, busy, pid, arrays, events in subreplies:
+                for _lo, _hi, busy, pid, events in subreplies:
                     plan.busy += busy
-                    if arrays is not None:
-                        plan.block.write(lo, hi, *arrays)
                     if events:
                         log.extend(events)
                     if registry.enabled:
@@ -1422,7 +1356,6 @@ class BatchExplorer:
                 ckpt.remove()
         params_list: list[Mapping[str, object]] = []
         designs: list[DesignPoint] = []
-        pool: ProcessPoolExecutor | SupervisedPool | None = None
         plan: "_ParallelPlan | None" = None
         probes: dict[int, ChunkProbe] = {}
         with tracer.span(
@@ -1439,8 +1372,9 @@ class BatchExplorer:
             chunks_done = 0
             points_done = 0
             try:
+                chunks: Iterable = _chunked(iter(grid), self.chunk_size)
                 if mode == "parallel-columnar":
-                    chunks = list(_chunked(iter(grid), self.chunk_size))
+                    chunks = list(chunks)
                     if session is not None:
                         # Probe up front: chunks the store can serve (in
                         # full or in part) must never reach the pool.
@@ -1462,25 +1396,20 @@ class BatchExplorer:
                     plan = self._parallel_setup(
                         chunks,
                         len(restored_chunks),
+                        grid,
                         probes,
                         qsession,
                         blocked,
-                        grid=grid,
                     )
-                    pool = plan.pool
-                    self._parallel_kernels(plan, tracer)
-                    chunk_stream: Iterable = enumerate(plan.chunks)
-                else:
-                    if workers:
-                        pool = self._make_pool(
-                            _parallel.init_factory_worker,
-                            (self.factory,),
-                            quarantine=qsession,
-                        )
-                    chunk_stream = enumerate(
-                        _chunked(iter(grid), self.chunk_size)
-                    )
-                for index, chunk in chunk_stream:
+                    if plan is None:
+                        # No shared backing: the pool cannot run, so the
+                        # sweep resolves to the in-process columnar path.
+                        object.__setattr__(self, "_active_workers", 0)
+                        mode = "columnar"
+                        sweep_span.set(workers=0, mode=mode)
+                    else:
+                        self._parallel_kernels(plan, tracer)
+                for index, chunk in enumerate(chunks):
                     restored = index < len(restored_chunks)
                     if plan is not None and index in plan.failed:
                         raise _SalvageAbort(
@@ -1513,14 +1442,14 @@ class BatchExplorer:
                                 )
                             ):
                                 outcomes = self._quarantined_chunk(
-                                    chunk, qsession, pool, mode
+                                    chunk, qsession, mode
                                 )
                             if outcomes is None:
                                 probe = probes.pop(index, None)
                                 if probe is None and session is not None:
                                     probe = session.probe(chunk)
                                 outcomes = self._resolve_chunk(
-                                    chunk, index, probe, plan, pool, mode,
+                                    chunk, index, probe, plan, mode,
                                     session, use, qsession,
                                 )
                         valid = 0
@@ -1586,18 +1515,19 @@ class BatchExplorer:
             finally:
                 if session is not None:
                     session.flush()
-                if pool is not None:
-                    pool.shutdown(cancel_futures=True)
                 if plan is not None:
+                    if plan.pool is not None:
+                        plan.pool.shutdown(cancel_futures=True)
                     plan.release()
                     if plan.spill_dir is not None:
                         # The crash transport: anything a dead worker
                         # flushed but never got to reply with.
                         _events.get_log().collect_spill(plan.spill_dir)
                         _events.cleanup_spill_dir(plan.spill_dir)
-                if workers:
                     _parallel.clear_worker_state()
-            self._record_supervision(pool, sweep_span)
+            self._record_supervision(
+                plan.pool if plan is not None else None, sweep_span
+            )
             if not designs and failure is None:
                 raise ConfigurationError(
                     "exploration produced no valid design points"
@@ -1661,7 +1591,6 @@ class BatchExplorer:
         index: int,
         probe: "ChunkProbe | None",
         plan: "_ParallelPlan | None",
-        pool,
         mode: str,
         session: "SweepStoreSession | None",
         use: "_StoreUse | None",
@@ -1699,7 +1628,7 @@ class BatchExplorer:
                 else:
                     outcomes = self._vector_chunk(chunk)
             else:
-                outcomes = self._evaluate_chunk(chunk, pool)
+                outcomes = self._evaluate_chunk(chunk)
             if session is not None:
                 session.put(chunk, outcomes, probe)
             return outcomes
@@ -1710,7 +1639,7 @@ class BatchExplorer:
         if mode in COLUMNAR_MODES:
             sub_outcomes = self._vector_chunk(sub)
         else:
-            sub_outcomes = self._evaluate_chunk(sub, pool)
+            sub_outcomes = self._evaluate_chunk(sub)
         outcomes = probe.outcomes
         for row, outcome in zip(probe.missing, sub_outcomes):
             outcomes[row] = outcome
@@ -1730,7 +1659,6 @@ class BatchExplorer:
         self,
         chunk: Sequence[Mapping[str, object]],
         qsession: QuarantineSession,
-        pool,
         mode: str,
     ) -> list[DesignPoint | DomainError]:
         """Evaluate a chunk that contains ledger-known poison points.
@@ -1754,7 +1682,7 @@ class BatchExplorer:
             if mode in COLUMNAR_MODES:
                 clean_outcomes = self._vector_chunk(clean)
             else:
-                clean_outcomes = self._evaluate_chunk(clean, pool)
+                clean_outcomes = self._evaluate_chunk(clean)
         outcomes: list[DesignPoint | DomainError] = []
         fresh = iter(clean_outcomes)
         for row in range(len(chunk)):
@@ -1806,7 +1734,7 @@ class BatchExplorer:
         before: CacheStats,
     ) -> None:
         """Per-chunk telemetry (only called while observing): timing,
-        throughput, cache effectiveness and worker fan-out."""
+        throughput and cache effectiveness."""
         after = self.cache.stats()
         evaluated = after.misses - before.misses
         cached = after.hits - before.hits
@@ -1819,13 +1747,6 @@ class BatchExplorer:
                 cached=cached,
                 evals_per_s=points / seconds if seconds > 0 else float("inf"),
             )
-            if self._pool_workers:
-                # Fan-out share: the fraction of this chunk that went
-                # to the worker pool rather than the memo.
-                chunk_span.set(
-                    pool_points=evaluated,
-                    worker_utilization=evaluated / points if points else 0.0,
-                )
         if registry.enabled:
             registry.counter(
                 "focal_evaluations_total", "factory evaluations (cache misses)"
@@ -1872,7 +1793,6 @@ class BatchExplorer:
                 worker_utilization=(
                     min(1.0, plan.busy / wall) if wall > 0 else 0.0
                 ),
-                scheduler=plan.scheduler,
                 tail_shard_points=plan.tail_shard_points,
             )
         if plan is not None and plan.spill_nbytes:
@@ -1975,24 +1895,23 @@ class BatchExplorer:
                 registry.gauge(
                     "focal_parallel_shm_bytes",
                     "shared-memory bytes backing the last parallel-columnar "
-                    "sweep (0 = pickle-array fallback)",
+                    "sweep (0 = spilled to files)",
                 ).set(engine.shm_bytes)
                 registry.gauge(
                     "focal_parallel_worker_utilization",
                     "worker busy seconds / (kernel wall x workers), "
                     "last parallel-columnar sweep",
                 ).set(engine.worker_utilization)
-                if engine.scheduler == "steal":
-                    registry.counter(
-                        "focal_steal_shards_total",
-                        "shards dispatched through the work-stealing "
-                        "queue scheduler",
-                    ).inc(engine.shards)
-                    registry.gauge(
-                        "focal_steal_tail_shard_points",
-                        "smallest (tail) shard of the last work-stealing "
-                        "sweep, in grid points",
-                    ).set(engine.tail_shard_points)
+                registry.counter(
+                    "focal_steal_shards_total",
+                    "shards dispatched through the work-stealing "
+                    "queue scheduler",
+                ).inc(engine.shards)
+                registry.gauge(
+                    "focal_steal_tail_shard_points",
+                    "smallest (tail) shard of the last work-stealing "
+                    "sweep, in grid points",
+                ).set(engine.tail_shard_points)
             registry.gauge(
                 "focal_spill_bytes",
                 "spill-file bytes backing the last sweep's shared "
@@ -2131,41 +2050,29 @@ class BatchExplorer:
         valid-point total, with no per-point Python objects.
 
         Axis columns for each chunk are computed straight from the
-        cartesian structure: grid iteration is row-major, so point
-        ``i`` takes value ``axis[(i // stride) % len(axis)]`` where an
-        axis's stride is the product of the later axes' sizes.
+        cartesian structure (:meth:`_axis_columns`), one chunk at a
+        time, so memory stays bounded by the chunk size.
         """
         factory = self.factory
-        names = list(grid.axes)
-        values = [np.asarray(grid.axes[name]) for name in names]
-        sizes = [v.shape[0] for v in values]
-        strides = [1] * len(names)
-        for axis in range(len(names) - 2, -1, -1):
-            strides[axis] = strides[axis + 1] * sizes[axis + 1]
+        columns_of = self._axis_columns(grid)
         total = len(grid)
         histogram = np.zeros(len(CATEGORIES), dtype=np.int64)
         valid_total = 0
         for index, start in enumerate(range(0, total, self.chunk_size)):
             with tracer.span("chunk", index=index, mode="columnar") as chunk_span:
-                rows = np.arange(start, min(start + self.chunk_size, total))
-                columns = {
-                    name: axis_values[(rows // stride) % size]
-                    for name, axis_values, stride, size in zip(
-                        names, values, strides, sizes
-                    )
-                }
-                arrays = factory.batch_arrays(columns)
-                if len(arrays) != rows.shape[0]:
+                stop = min(start + self.chunk_size, total)
+                arrays = factory.batch_arrays(columns_of(start, stop))
+                if len(arrays) != stop - start:
                     raise ConfigurationError(
                         f"batch_arrays returned {len(arrays)} rows for a "
-                        f"{rows.shape[0]}-point chunk"
+                        f"{stop - start}-point chunk"
                     )
                 mask = arrays.valid
                 area, perf, power = arrays.area, arrays.perf, arrays.power
                 if not mask.all():
                     area, perf, power = area[mask], perf[mask], power[mask]
                 if chunk_span is not _trace.NULL_SPAN:
-                    chunk_span.set(points=rows.shape[0], valid=int(area.shape[0]))
+                    chunk_span.set(points=stop - start, valid=int(area.shape[0]))
                 if not area.shape[0]:
                     continue
                 _, ncf_fw, ncf_ft = self._ncf_from_columns(area, perf, power)

@@ -336,13 +336,13 @@ def _mc_pool(
 def _mc_map(pool, fn: Callable, jobs: list) -> list:
     """Shard fan-out on either pool flavour, preserving job order.
 
-    Supervised pools dispatch one shard per future (``schedule="queue"``)
-    so the executor's shared call queue doubles as the steal queue: an
-    idle worker picks up the next pending shard the moment it finishes
-    its own, matching the sweep engine's work-stealing scheduler.
+    Supervised pools dispatch one shard per future, so the executor's
+    shared call queue doubles as the steal queue: an idle worker picks
+    up the next pending shard the moment it finishes its own, matching
+    the sweep engine's work-stealing scheduler.
     """
     if isinstance(pool, SupervisedPool):
-        return pool.run(fn, jobs, schedule="queue")
+        return pool.run(fn, jobs)
     return list(pool.map(fn, jobs))
 
 

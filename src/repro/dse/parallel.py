@@ -1,35 +1,33 @@
 """Shared-memory shard dispatch for the parallel columnar sweep path.
 
-The two fast paths of :class:`~repro.dse.batch.BatchExplorer` used to
-cancel each other out: the columnar kernels engaged only with
-``workers == 0``, while the pool path shipped per-point pickled
-``(factory, params)`` jobs and pickled whole DesignPoint objects back.
-This module provides the plumbing that composes them:
+A FOCAL design point costs microseconds, so the only sweep a process
+pool pays on is a whole cold columnar sweep. This module provides the
+plumbing for that one pool path of :class:`~repro.dse.batch.
+BatchExplorer`:
 
 * :class:`ColumnarBlock` — one flat buffer holding the sweep's
   area/perf/power/valid columns for *every* grid point, backed by a
-  ``multiprocessing.shared_memory`` segment when the platform provides
-  one, by an mmapped spill file when the sweep opts into out-of-core
-  operation (``spill_dir=`` / spill threshold), and by private process
-  memory otherwise (the pickle-array fallback);
+  ``multiprocessing.shared_memory`` segment, or by an mmapped spill
+  file when the sweep opts into out-of-core operation (``spill_dir=`` /
+  spill threshold);
 * :class:`GridArena` — the sweep's *input* grid columns published once
   into a read-only sibling segment, so a shard job shrinks to
-  ``(lo, hi, seq)`` and workers slice the resident columns locally
-  instead of unpickling their slice from every task message;
-* :func:`plan_shards` / :func:`plan_steal_runs` — contiguous,
-  chunk-aligned ``[lo, hi)`` spans of the grid: the former statically
-  sized (a few per worker), the latter geometrically shrinking toward
-  the tail so one future per shard on the executor's shared call queue
-  behaves like a work-stealing scheduler — idle workers pull the next
-  shard, and stragglers can at most hold one tail-sized shard;
-* worker-side state and entry points — the factory (and the shared
-  segments) ship **once per pool** through :func:`init_factory_worker`
-  / :func:`init_columnar_worker`; per-job payloads are parameter dicts
-  (scalar pool path), ``(lo, hi, seq)`` index triples (resident grid),
-  or axis columns (the no-shm fallback), and results come back as
-  writes into the shared block (or compact numeric arrays when shared
-  memory is unavailable). No ``DesignPoint`` ever crosses the process
+  ``(lo, hi, seq)`` and workers slice the resident columns locally;
+* :func:`plan_steal_runs` — contiguous, chunk-aligned ``[lo, hi)``
+  spans of the grid, geometrically shrinking toward the tail so one
+  future per shard on the executor's shared call queue behaves like a
+  work-stealing scheduler — idle workers pull the next shard, and
+  stragglers can at most hold one tail-sized shard;
+* worker-side state and entry points — the factory and the shared
+  segments ship **once per pool** through :func:`init_columnar_worker`;
+  a job is an ``(lo, hi, seq)`` index triple and its results land in
+  the shared block. No ``DesignPoint`` ever crosses the process
   boundary.
+
+When either segment cannot get a shared backing (no ``/dev/shm``, size
+limits, sandboxing), :meth:`ColumnarBlock.allocate` /
+:meth:`GridArena.publish` return ``None`` and the sweep runs
+in-process columnar instead.
 
 Everything here is byte-neutral: the kernels run unchanged, the parent
 re-reads the same float64/bool columns the single-process path would
@@ -48,26 +46,23 @@ import mmap
 import os
 import tempfile
 import time
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from ..core.errors import ConfigurationError, DomainError
+from ..core.errors import ConfigurationError
 from ..obs import events as _events
 from ..resilience import containment as _containment
 
 __all__ = [
     "ColumnarBlock",
     "GridArena",
-    "plan_shards",
-    "plan_shard_runs",
+    "hostable",
     "plan_steal_runs",
     "live_blocks",
     "set_worker_state",
     "clear_worker_state",
-    "init_factory_worker",
     "init_columnar_worker",
-    "pool_evaluate",
     "eval_shard",
     "split_shard_job",
     "shard_job_point",
@@ -76,11 +71,6 @@ __all__ = [
 #: Bytes per grid point in a :class:`ColumnarBlock`:
 #: three float64 result columns plus one bool validity flag.
 BYTES_PER_POINT = 3 * 8 + 1
-
-#: How many shards each worker is offered by the *static* planner: a few
-#: per worker, so a slow shard (or a respawned worker) rebalances
-#: instead of stalling the pool.
-SHARDS_PER_WORKER = 4
 
 #: Guided-scheduling divisor for :func:`plan_steal_runs`: each shard
 #: takes ``remaining_chunks // (workers * STEAL_FACTOR)`` chunks, so
@@ -185,8 +175,8 @@ def _create_segment(
 ):
     """A new shared segment: spill file when configured, else shm.
 
-    Returns ``None`` when neither backing is available — callers fall
-    back to private memory (block) or per-job columns (grid).
+    Returns ``None`` when neither backing is available — the sweep
+    then runs in-process.
     """
     if _should_spill(nbytes, spill_dir, spill_bytes):
         try:
@@ -224,21 +214,16 @@ class ColumnarBlock:
 
     Layout over ``total`` points: ``area``/``perf``/``power`` as
     consecutive float64 columns, then ``valid`` as a bool column. The
-    buffer is a shared-memory segment when available (workers write
-    their shard rows directly), an mmapped spill file when the sweep
-    opts into out-of-core operation, and private memory otherwise
-    (workers return arrays by pickle and the parent writes them).
+    buffer is a shared-memory segment (workers write their shard rows
+    directly), or an mmapped spill file when the sweep opts into
+    out-of-core operation.
     """
 
     def __init__(self, total: int, shm, owner: bool) -> None:
         self.total = total
         self._shm = shm
         self._owner = owner
-        if shm is not None:
-            buf = shm.buf
-        else:
-            self._local = bytearray(max(1, total * BYTES_PER_POINT))
-            buf = memoryview(self._local)
+        buf = shm.buf
         self.area = np.frombuffer(buf, dtype=np.float64, count=total, offset=0)
         self.perf = np.frombuffer(
             buf, dtype=np.float64, count=total, offset=8 * total
@@ -257,20 +242,17 @@ class ColumnarBlock:
         *,
         spill_dir: str | os.PathLike | None = None,
         spill_bytes: int | None = None,
-    ) -> "ColumnarBlock":
+    ) -> "ColumnarBlock | None":
         """A new block: spill file when the out-of-core policy selects
-        one, else shared memory when the platform allows.
-
-        Any failure to create a shared segment (no /dev/shm, size
-        limits, sandboxing) silently selects the private-memory
-        fallback — the sweep then pays pickling for result columns,
-        nothing else changes.
+        one, else shared memory — or ``None`` when neither can be
+        created (no /dev/shm, size limits, sandboxing), in which case
+        the sweep runs in-process.
         """
         shm = _create_segment(
             max(1, total * BYTES_PER_POINT), "block", spill_dir, spill_bytes
         )
         if shm is None:
-            return cls(total, None, owner=True)
+            return None
         _LIVE_NAMES.add(shm.name)
         return cls(total, shm, owner=True)
 
@@ -284,16 +266,14 @@ class ColumnarBlock:
         )
 
     @property
-    def name(self) -> str | None:
-        """Segment handle (``None`` for the private-memory fallback):
-        a raw shm name, or a ``file:``-prefixed spill path."""
-        return self._shm.name if self._shm is not None else None
+    def name(self) -> str:
+        """Segment handle: a raw shm name, or a ``file:``-prefixed
+        spill path."""
+        return self._shm.name
 
     @property
     def backing(self) -> str:
-        """``"shm"``, ``"file"`` or ``"local"``."""
-        if self._shm is None:
-            return "local"
+        """``"shm"`` or ``"file"``."""
         return "file" if isinstance(self._shm, _FileMap) else "shm"
 
     @property
@@ -354,9 +334,15 @@ class ColumnarBlock:
 
 
 #: Axis dtypes a :class:`GridArena` can host: bool, signed/unsigned
-#: integer, float. Anything else (strings, objects) keeps the legacy
-#: column-shipping job payloads.
+#: integer, float. A sweep over anything else (strings, objects) runs
+#: in-process.
 _ARENA_KINDS = "biuf"
+
+
+def hostable(axes: Mapping[str, Sequence]) -> bool:
+    """Whether every axis of a grid can live in a :class:`GridArena`
+    (1-D numeric values) — the precondition of a pooled sweep."""
+    return _arena_layout(axes) is not None
 
 
 def _arena_layout(
@@ -414,7 +400,7 @@ class GridArena:
     ) -> "GridArena | None":
         """Copy *columns* into a new shared segment, or ``None`` when
         the columns cannot be hosted (non-numeric axes) or no shared
-        backing is available — the sweep then ships columns per job."""
+        backing is available — the sweep then runs in-process."""
         if not columns:
             return None
         packed = _arena_layout(columns)
@@ -491,59 +477,19 @@ class GridArena:
             _LIVE_NAMES.discard(seg.name)
 
 
-def plan_shards(
-    total: int, start: int, chunk_size: int, workers: int
-) -> list[tuple[int, int]]:
-    """Contiguous ``[lo, hi)`` spans covering ``[start, total)``.
-
-    Spans are aligned to ``chunk_size`` boundaries (a checkpoint chunk
-    never straddles two shards) and sized to roughly
-    :data:`SHARDS_PER_WORKER` shards per worker, so one slow shard
-    rebalances across the pool instead of serializing it.
-    """
-    if start >= total:
-        return []
-    return plan_shard_runs([(start, total)], chunk_size, workers)
-
-
-def plan_shard_runs(
-    runs: list[tuple[int, int]], chunk_size: int, workers: int
-) -> list[tuple[int, int]]:
-    """Statically sized shard spans over arbitrary pending point *runs*.
-
-    Checkpoint resume skips a prefix, but a persistent result store can
-    satisfy *any* subset of chunks — what remains to evaluate is a list
-    of contiguous ``[lo, hi)`` point runs. Each run is split into
-    chunk-aligned spans exactly like :func:`plan_shards` would split
-    the whole grid, with the shard width budgeted over the total
-    pending work so the :data:`SHARDS_PER_WORKER` balance holds across
-    runs (a span never straddles two runs — the gap between them is
-    already-known work whose block rows must stay untouched).
-    """
-    pending_chunks = sum(-(-(hi - lo) // chunk_size) for lo, hi in runs if hi > lo)
-    if not pending_chunks:
-        return []
-    per_shard = max(
-        1, -(-pending_chunks // (max(1, workers) * SHARDS_PER_WORKER))
-    )
-    span = per_shard * chunk_size
-    return [
-        (lo, min(lo + span, hi))
-        for run_lo, hi in runs
-        if hi > run_lo
-        for lo in range(run_lo, hi, span)
-    ]
-
-
 def plan_steal_runs(
     runs: list[tuple[int, int]], chunk_size: int, workers: int
 ) -> list[tuple[int, int]]:
     """Guided shard spans for the work-stealing scheduler.
 
-    Same coverage contract as :func:`plan_shard_runs` (chunk-aligned,
-    never straddling a run), but sized geometrically: each successive
-    shard takes ``remaining_chunks // (workers * STEAL_FACTOR)`` chunks
-    (never less than one). Early shards are large — few task messages
+    Checkpoint resume skips a prefix, and a persistent result store can
+    satisfy *any* subset of chunks — what remains to evaluate is a list
+    of contiguous ``[lo, hi)`` point *runs*. Spans are chunk-aligned and
+    never straddle two runs (the gap between them is already-known work
+    whose block rows must stay untouched), and sized geometrically:
+    each successive shard takes ``remaining_chunks // (workers *
+    STEAL_FACTOR)`` chunks (never less than one). Early shards are
+    large — few task messages
     while every worker is busy anyway — and tail shards shrink toward
     single chunks, so when the queue drains, no worker can be left
     holding more than one chunk of work while the others idle. One
@@ -583,7 +529,7 @@ def set_worker_state(
 ) -> None:
     """Install this process's sweep state (factory + shared segments).
 
-    Called by the pool initializers in each worker and by the parent
+    Called by the pool initializer in each worker and by the parent
     before dispatch, so in-process degradation and thread-pool
     executors evaluate exactly what worker processes would.
     """
@@ -598,27 +544,18 @@ def clear_worker_state() -> None:
     _events.get_buffer().disable()
 
 
-def init_factory_worker(
-    factory: Callable, capture: bool = False, spill_dir: str | None = None
-) -> None:
-    """Pool initializer for the scalar path: the factory ships once per
-    worker process, not once per job."""
-    _events.init_worker(capture, spill_dir)
-    set_worker_state(factory, None)
-
-
 def init_columnar_worker(
     factory: Callable,
-    shm_name: str | None,
+    shm_name: str,
     total: int,
+    grid: tuple[str, list[tuple[str, str, int]], int],
     capture: bool = False,
     spill_dir: str | None = None,
-    grid: tuple[str, list[tuple[str, str, int]], int] | None = None,
 ) -> None:
-    """Pool initializer for the columnar path: factory plus one
-    attachment each to the parent's result block and published grid
-    arena (when it has them). *grid* is a ``(handle, layout, total)``
-    descriptor — three small values, shipped once per worker.
+    """Pool initializer: factory plus one attachment each to the
+    parent's result block and published grid arena. *grid* is a
+    ``(handle, layout, total)`` descriptor — three small values,
+    shipped once per worker.
 
     With *capture* the worker's event buffer is armed first, so the
     shared-memory attach itself lands on the timeline (``worker.init``).
@@ -626,107 +563,63 @@ def init_columnar_worker(
     _events.init_worker(capture, spill_dir)
     buf = _events.get_buffer()
     t0 = buf.now()
-    block = ColumnarBlock.attach(shm_name, total) if shm_name else None
-    arena = GridArena.attach(*grid) if grid is not None else None
+    block = ColumnarBlock.attach(shm_name, total)
+    arena = GridArena.attach(*grid)
     buf.add(
         "worker.init",
         start=t0,
         dur_s=buf.now() - t0,
         attach_s=buf.now() - t0,
-        shm=bool(shm_name),
-        grid=arena is not None,
     )
     set_worker_state(factory, block, arena)
 
 
-def pool_evaluate(params: Mapping[str, object]):
-    """Worker-side scalar factory call on the pool-shipped factory;
-    ``DomainError`` travels back as a value, like the cache stores it."""
-    _containment.beat()
-    try:
-        return _STATE["factory"](params)
-    except DomainError as exc:
-        return exc
-
-
-def _shard_columns(job) -> tuple[int, int, Mapping[str, np.ndarray], int | None]:
-    """Resolve a shard job to its columns.
-
-    A job is ``(start, stop, payload)`` where the payload is either the
-    column dict itself (legacy / no-arena fallback) or the shard's
-    sequence number, in which case the columns are sliced from the
-    process-resident :class:`GridArena`.
-    """
-    start, stop, payload = job
-    if isinstance(payload, Mapping):
-        return start, stop, payload, None
-    arena = _STATE.get("grid")
-    if arena is None:
-        raise ConfigurationError(
-            "resident shard job dispatched to a worker without a grid arena"
-        )
-    return start, stop, arena.columns(start, stop), payload
-
-
 def eval_shard(job):
-    """Run the vector kernel over one shard's columns.
+    """Run the vector kernel over one shard's rows of the resident grid.
 
-    ``job`` is ``(start, stop, seq)`` when the grid is resident in a
-    :class:`GridArena` (workers slice their columns locally) or
-    ``(start, stop, columns)`` in the fallback. The factory's
+    ``job`` is ``(start, stop, seq)``: the worker slices its columns
+    from the process-resident :class:`GridArena`, and the factory's
     ``batch_arrays`` output lands in the shared block's rows
-    ``[start, stop)`` when a block is attached; otherwise the columns
-    are returned by value. Either way the reply is
-    ``(start, stop, busy_seconds, worker_pid, arrays-or-None,
-    events-or-None)`` — compact numbers, never DesignPoint objects.
+    ``[start, stop)``. The reply is ``(start, stop, busy_seconds,
+    worker_pid, events-or-None)`` — compact numbers, never DesignPoint
+    objects.
 
     When this worker's event buffer is armed (pool initializer with
     ``capture=True``) the shard leaves a ``heartbeat`` instant plus
     ``shard``/``factory.compute``/``shm.write`` duration events, drained
-    into the reply so the parent can merge them without extra IPC.
+    into the reply so the parent can merge them without extra IPC. The
+    ``shard`` event carries the kernel's wall seconds (``compute_s``)
+    and its thread CPU seconds (``cpu_s``): on an oversubscribed host
+    only the latter measures work done.
     """
     _containment.beat()
-    start, stop, columns, seq = _shard_columns(job)
+    start, stop, seq = job
+    arena = _STATE.get("grid")
+    if arena is None:
+        raise ConfigurationError(
+            "shard job dispatched to a worker without a grid arena"
+        )
+    columns = arena.columns(start, stop)
     factory = _STATE["factory"]
     buf = _events.get_buffer()
     capture = buf.enabled
     if capture:
         t0 = buf.now()
         buf.add("heartbeat", start=t0, lo=start, hi=stop)
+    cpu_begin = time.thread_time()
     begin = time.perf_counter()
     arrays = factory.batch_arrays(columns)
     busy = time.perf_counter() - begin
+    cpu_s = time.thread_time() - cpu_begin
     if len(arrays) != stop - start:
         raise ConfigurationError(
             f"batch_arrays returned {len(arrays)} rows for a "
             f"{stop - start}-point shard"
         )
-    block = _STATE.get("block")
-    if block is None:
-        if capture:
-            end = buf.now()
-            buf.add("factory.compute", start=end - busy, dur_s=busy)
-            buf.add(
-                "shard",
-                start=t0,
-                dur_s=end - t0,
-                lo=start,
-                hi=stop,
-                seq=seq,
-                points=stop - start,
-                compute_s=busy,
-                shm_s=0.0,
-            )
-        return (
-            start,
-            stop,
-            busy,
-            os.getpid(),
-            (arrays.area, arrays.perf, arrays.power, arrays.valid),
-            buf.drain() if capture else None,
-        )
     shm_begin = time.perf_counter()
-    block.write(start, stop, arrays.area, arrays.perf, arrays.power, arrays.valid)
+    _STATE["block"].write(
+        start, stop, arrays.area, arrays.perf, arrays.power, arrays.valid
+    )
     shm_s = time.perf_counter() - shm_begin
     if capture:
         end = buf.now()
@@ -741,38 +634,33 @@ def eval_shard(job):
             seq=seq,
             points=stop - start,
             compute_s=busy,
+            cpu_s=cpu_s,
             shm_s=shm_s,
         )
-    return (start, stop, busy, os.getpid(), None, buf.drain() if capture else None)
+    return (start, stop, busy, os.getpid(), buf.drain() if capture else None)
 
 
 def split_shard_job(job):
     """Halve one shard job for quarantine bisection, or ``None``.
 
-    ``job`` is the tuple :func:`eval_shard` takes. Resident-grid jobs
-    split by index arithmetic alone; fallback jobs slice the same
-    column arrays, so bisection probes evaluate exactly the rows the
-    original shard would have. A single-row shard is atomic (returns
-    ``None``) — that row *is* the candidate poison point.
+    ``job`` is the ``(start, stop, seq)`` triple :func:`eval_shard`
+    takes; halves split by index arithmetic alone, so bisection probes
+    evaluate exactly the rows the original shard would have. A
+    single-row shard is atomic (returns ``None``) — that row *is* the
+    candidate poison point.
     """
-    start, stop, payload = job
+    start, stop, seq = job
     if stop - start <= 1:
         return None
     mid = start + (stop - start) // 2
-    if not isinstance(payload, Mapping):
-        return ((start, mid, payload), (mid, stop, payload))
-    cut = mid - start
-    left = {name: np.asarray(col)[:cut] for name, col in payload.items()}
-    right = {name: np.asarray(col)[cut:] for name, col in payload.items()}
-    return ((start, mid, left), (mid, stop, right))
+    return ((start, mid, seq), (mid, stop, seq))
 
 
 def shard_job_point(job):
     """The grid-point parameters of a single-row shard job (for the
     quarantine ledger), or ``None`` for a multi-row shard."""
-    start, stop, payload = job
+    start, stop, _ = job
     if stop - start != 1:
         return None
-    if not isinstance(payload, Mapping):
-        payload = _STATE["grid"].columns(start, stop)
-    return {name: np.asarray(col)[0].item() for name, col in payload.items()}
+    columns = _STATE["grid"].columns(start, stop)
+    return {name: col[0].item() for name, col in columns.items()}

@@ -8,8 +8,10 @@ decomposes the sweep's wall-clock into five mutually exclusive,
 collectively exhaustive categories:
 
 ``compute``
-    Worker seconds inside ``factory.batch_arrays``, divided by the
-    worker count — the part that scales.
+    Worker seconds inside ``factory.batch_arrays`` — thread CPU time
+    (the shard's ``cpu_s``) when recorded, since wall time counts the
+    waits of an oversubscribed host as compute — divided by the worker
+    count: the part that scales.
 ``shm``
     Worker seconds writing result columns into the shared block.
 ``dispatch``
@@ -36,7 +38,11 @@ On top of the decomposition the report derives per-worker utilization
 (compute seconds / kernel wall) and an Amdahl-style attainable
 speedup: with serial time ``s`` and total compute ``c``, a perfect
 ``N``-worker run takes ``s + c/N`` against a serial ``s + c`` — the
-ceiling the current pool should be measured against.
+ceiling the current pool should be measured against. ``N`` is the
+worker count capped at the host's CPU count (from the report's
+manifest), and the speedup estimate ``(s + c) / wall`` is capped at
+the same ``N``: no pool runs faster than its CPUs allow. Both are
+modeled from one run, not measured against a serial baseline.
 
 Sweeps recorded with reuse telemetry (any store-backed run) also carry
 a point-provenance section: how many grid points came from the store's
@@ -164,7 +170,7 @@ def profile_report(report: dict) -> ProfileReport:
     per_worker: list[WorkerProfile] = []
     sum_compute = sum_shm = sum_active = sum_window = 0.0
     for worker, rows in sorted(by_worker.items()):
-        compute = sum(float(r.get("attrs", {}).get("compute_s", 0.0)) for r in rows)
+        compute = sum(_compute_s(r.get("attrs", {})) for r in rows)
         shm = sum(float(r.get("attrs", {}).get("shm_s", 0.0)) for r in rows)
         active = sum(float(r.get("dur_s") or 0.0) for r in rows)
         # Clamp the busy window to the kernel phase: worker clocks are
@@ -214,9 +220,12 @@ def profile_report(report: dict) -> ProfileReport:
     total = sum(seconds.values()) or 1.0
     shares = {key: value / total for key, value in seconds.items()}
 
+    # Parallelism the host can deliver: workers beyond its CPUs share them.
+    cpus = (report.get("manifest") or {}).get("node", {}).get("cpu_count")
+    n_eff = min(n, int(cpus)) if cpus else n
     serial_ideal = serial + sum_shm / n  # shm does not parallel-scale away
     t1 = serial + sum_compute
-    t_n_ideal = serial_ideal + sum_compute / n
+    t_n_ideal = serial_ideal + sum_compute / n_eff
     return ProfileReport(
         wall_s=wall,
         kernel_s=k_dur,
@@ -228,9 +237,14 @@ def profile_report(report: dict) -> ProfileReport:
         serial_s=serial,
         compute_total_s=sum_compute,
         amdahl_attainable=t1 / t_n_ideal if t_n_ideal > 0 else 0.0,
-        achieved_speedup_estimate=t1 / wall if wall > 0 else 0.0,
+        achieved_speedup_estimate=min(t1 / wall, n_eff) if wall > 0 else 0.0,
         reuse=reuse,
     )
+
+
+def _compute_s(attrs: dict) -> float:
+    """A shard's compute seconds: CPU time when recorded, else wall."""
+    return float(attrs.get("cpu_s", attrs.get("compute_s", 0.0)))
 
 
 def _reuse_split(attrs: dict) -> dict | None:
@@ -288,10 +302,10 @@ def render_profile(profile: ProfileReport) -> str:
         f"top cost center: {profile.top_cost} "
         f"({100.0 * share:.1f}% of wall-clock)",
         (
-            f"speedup: ~{profile.achieved_speedup_estimate:.2f}x achieved vs "
+            f"speedup: ~{profile.achieved_speedup_estimate:.2f}x estimated vs "
             f"~{profile.amdahl_attainable:.2f}x attainable with "
             f"{profile.workers} workers (Amdahl bound over the serial "
-            "residue)"
+            "residue, capped at the host's CPUs)"
         ),
     ]
     if profile.observed_workers < profile.workers:

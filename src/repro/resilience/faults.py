@@ -108,9 +108,9 @@ class FaultInjectingFactory:
     point evaluates normally, so retried/re-dispatched work converges
     to the fault-free answer.
 
-    The wrapper intentionally does **not** forward ``batch_arrays``:
-    chaos runs must exercise the scalar/worker paths the faults target,
-    not the columnar fast path.
+    The wrapper intentionally does **not** forward ``batch_arrays``: its
+    sweeps run the in-process scalar path; chaos-test worker pools with
+    :class:`VectorFaultInjectingFactory`.
     """
 
     factory: object  # the wrapped (picklable) DesignFactory
@@ -299,9 +299,9 @@ class FaultPlan:
     def wrap(self, factory: object) -> FaultInjectingFactory:
         """The fault-injecting twin of *factory* (state dir is created).
 
-        The wrapper hides ``batch_arrays``, forcing the scalar/worker
-        paths; use :meth:`wrap_vector` to chaos-test the
-        parallel-columnar kernels instead.
+        The wrapper hides ``batch_arrays``, forcing the in-process
+        scalar path; use :meth:`wrap_vector` to chaos-test the
+        parallel-columnar worker pool instead.
         """
         Path(self.state_dir).mkdir(parents=True, exist_ok=True)
         return FaultInjectingFactory(

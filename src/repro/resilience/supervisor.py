@@ -6,7 +6,7 @@ worker into a ``BrokenProcessPool`` that aborts the entire sweep, and a
 hung worker into an unbounded stall. :class:`SupervisedPool` wraps the
 executor with the recovery ladder long design-space sweeps need:
 
-1. **bounded retry with exponential backoff** — a chunk whose dispatch
+1. **bounded retry with exponential backoff** — a job whose dispatch
    fails (worker crash, transient factory exception, timeout) is
    re-dispatched up to :attr:`~repro.resilience.policy.RetryPolicy.
    max_retries` times; with ``heartbeat_timeout_s`` set, a parent-side
@@ -175,20 +175,14 @@ class SupervisedPool:
         *,
         splitter: Callable | None = None,
         describe: Callable[[object], Mapping | None] | None = None,
-        schedule: str = "batch",
     ) -> list:
         """Evaluate ``fn`` over *jobs* on the pool, in job order.
 
-        With ``schedule="batch"`` (the default) the jobs of one call
-        are split into up to ``workers`` contiguous batches dispatched
-        concurrently — static assignment, one future per batch. With
-        ``schedule="queue"`` every job becomes its own future on the
-        executor's shared call queue, so idle workers pull the next job
-        the moment they finish one (work stealing); the recovery ladder
-        then operates at per-job granularity. Either way a failed
-        batch walks the recovery ladder described in the module docs.
-        Exceptions that survive every recovery path propagate
-        unchanged.
+        Every job becomes its own future on the executor's shared call
+        queue, so idle workers pull the next job the moment they finish
+        one (work stealing). A failed job walks the recovery ladder
+        described in the module docs; exceptions that survive every
+        recovery path propagate unchanged.
 
         *splitter* and *describe* feed the quarantine-bisection rung:
         ``splitter(job)`` returns a pair of half-sized sub-jobs (or
@@ -202,16 +196,7 @@ class SupervisedPool:
         (never completed) job's slot :data:`~repro.resilience.
         containment.INCOMPLETE`.
         """
-        if schedule not in ("batch", "queue"):
-            raise ValidationError(
-                f"schedule must be 'batch' or 'queue', got {schedule!r}"
-            )
-        jobs = list(jobs)
-        if not jobs:
-            return []
-        batches = (
-            [[job] for job in jobs] if schedule == "queue" else self._split(jobs)
-        )
+        batches = [[job] for job in jobs]
         results: list[list | None] = [None] * len(batches)
         pending = list(range(len(batches)))
         attempt = 0
@@ -348,18 +333,6 @@ class SupervisedPool:
     # ------------------------------------------------------------------
     # Recovery ladder internals
     # ------------------------------------------------------------------
-    def _split(self, jobs: list) -> list[list]:
-        """Up to ``workers`` contiguous, nearly equal batches."""
-        count = min(self.workers, len(jobs))
-        size, extra = divmod(len(jobs), count)
-        batches: list[list] = []
-        start = 0
-        for index in range(count):
-            stop = start + size + (1 if index < extra else 0)
-            batches.append(jobs[start:stop])
-            start = stop
-        return batches
-
     def _ensure_executor(self) -> Executor | None:
         """The live executor, spawning lazily; ``None`` degrades."""
         if self._executor is None:

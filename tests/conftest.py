@@ -27,6 +27,24 @@ def _no_leaked_segments():
 
 
 @pytest.fixture
+def pool_spawns(monkeypatch) -> list:
+    """Every worker pool a :class:`~repro.dse.batch.BatchExplorer`
+    builds during the test, recorded as its explorer — an empty list
+    proves the sweep ran in-process."""
+    from repro.dse.batch import BatchExplorer
+
+    spawned: list = []
+    real = BatchExplorer._make_pool
+
+    def spy(self, *args, **kwargs):
+        spawned.append(self)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(BatchExplorer, "_make_pool", spy)
+    return spawned
+
+
+@pytest.fixture
 def baseline() -> DesignPoint:
     """The unit design every paper figure normalizes to."""
     return DesignPoint.baseline("baseline")

@@ -8,6 +8,8 @@ memoized cache, process-pool workers).
 
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 
 from repro.amdahl.asymmetric import AsymmetricMulticore
@@ -204,11 +206,25 @@ class TestFactoryCache:
 
 
 class TestWorkers:
-    def test_pool_results_identical_to_serial(self, baseline, grid, scalar_results):
-        results = batch_explorer(baseline, workers=2, chunk_size=4).explore(grid)
-        assert results == scalar_results
+    """A scalar-only factory never repays a pool (a design point costs
+    microseconds), so ``workers=N`` resolves to an in-process scalar
+    sweep: byte-equal to serial, and no worker process is started."""
 
-    def test_pool_skips_domain_errors(self, baseline):
+    @staticmethod
+    def assert_in_process(explorer, pool_spawns):
+        assert explorer.last_sweep.mode == "scalar"
+        assert explorer.last_sweep.workers == 0
+        assert pool_spawns == []
+        assert multiprocessing.active_children() == []
+
+    def test_pool_results_identical_to_serial(
+        self, baseline, grid, scalar_results, pool_spawns
+    ):
+        explorer = batch_explorer(baseline, workers=2, chunk_size=4)
+        assert explorer.explore(grid) == scalar_results
+        self.assert_in_process(explorer, pool_spawns)
+
+    def test_pool_skips_domain_errors(self, baseline, pool_spawns):
         grid = ParameterGrid({"n": [2, 4, 8, 16]})
         explorer = BatchExplorer(
             factory=asymmetric_factory,
@@ -217,13 +233,15 @@ class TestWorkers:
             workers=2,
         )
         assert [r.params["n"] for r in explorer.explore(grid)] == [8, 16]
+        self.assert_in_process(explorer, pool_spawns)
 
-    def test_pool_fills_cache_for_serial_resweep(self, baseline, grid):
+    def test_pool_fills_cache_for_serial_resweep(self, baseline, grid, pool_spawns):
         explorer = batch_explorer(baseline, workers=2)
         explorer.explore(grid)
         assert explorer.cache.misses == len(grid)
         explorer.explore(grid)
         assert explorer.cache.hits == len(grid)
+        self.assert_in_process(explorer, pool_spawns)
 
 
 class TestBatchSweepResult:

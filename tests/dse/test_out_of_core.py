@@ -89,7 +89,7 @@ class TestSpillPolicy:
             64, spill_dir=tmp_path, spill_bytes=10**12
         )
         try:
-            assert block.backing in ("shm", "local")
+            assert block.backing == "shm"
             assert not list(tmp_path.glob("focal-block-*.bin"))
         finally:
             block.release()

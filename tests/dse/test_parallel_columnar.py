@@ -1,9 +1,9 @@
 """The parallel-columnar engine must be invisible in the results:
 byte-identical sweep output, identical cache contents and identical
 category counts versus both the single-process columnar path and the
-scalar path — at every grid/chunk geometry, with and without shared
-memory, and with nothing (workers, shm segments, module state) left
-behind afterwards."""
+scalar path — at every grid/chunk geometry, falling back to the
+in-process columnar path when no shared backing exists, and with
+nothing (workers, shm segments, module state) left behind afterwards."""
 
 from __future__ import annotations
 
@@ -167,22 +167,29 @@ class TestEdgeGeometry:
 
 
 class TestSharedMemoryFallback:
-    def test_pickle_fallback_is_bit_exact(self, baseline, monkeypatch):
-        # Force the private-memory fallback (a host with no usable
-        # shared segments at all): block allocation "fails", the grid
-        # arena cannot publish, and the engine must ship grid columns
-        # out and result columns back by pickle instead.
-        real_allocate = parallel.ColumnarBlock.allocate.__func__
+    def test_no_shared_backing_runs_columnar(self, baseline, monkeypatch):
+        # A host with no usable shared segments at all: neither the
+        # result block nor the grid arena can be created, so the pool
+        # cannot run and the sweep resolves to the in-process columnar
+        # path — bit-exact, and with nothing left registered.
+        monkeypatch.setattr(parallel, "_create_segment", lambda *a: None)
+        reference = _explorer(
+            SymmetricMulticoreFactory(), baseline
+        ).explore_arrays(GRID)
+        par = _explorer(SymmetricMulticoreFactory(), baseline, workers=2)
+        result = par.explore_arrays(GRID)
+        assert_same_sweep(result, reference)
+        assert par.last_sweep.mode == "columnar"
+        assert par.last_sweep.workers == 0
+        assert par.last_sweep.shm_bytes == 0
+        assert parallel.live_blocks() == frozenset()
+        assert parallel._STATE == {}
 
-        def no_shm(cls, total, **kwargs):
-            block = real_allocate(cls, total, **kwargs)
-            if block._shm is not None:
-                block.release()
-            return cls(total, None, owner=True)
-
-        monkeypatch.setattr(
-            parallel.ColumnarBlock, "allocate", classmethod(no_shm)
-        )
+    def test_arena_without_backing_releases_the_block(
+        self, baseline, monkeypatch
+    ):
+        # The block got a segment but the grid arena did not: the
+        # block must be released before the sweep runs in-process.
         monkeypatch.setattr(
             parallel.GridArena,
             "publish",
@@ -192,10 +199,9 @@ class TestSharedMemoryFallback:
             SymmetricMulticoreFactory(), baseline
         ).explore_arrays(GRID)
         par = _explorer(SymmetricMulticoreFactory(), baseline, workers=2)
-        result = par.explore_arrays(GRID)
-        assert_same_sweep(result, reference)
-        assert par.last_sweep.mode == "parallel-columnar"
-        assert par.last_sweep.shm_bytes == 0  # fallback reported honestly
+        assert_same_sweep(par.explore_arrays(GRID), reference)
+        assert par.last_sweep.mode == "columnar"
+        assert parallel.live_blocks() == frozenset()
 
     def test_shm_bytes_reported_when_backed(self, baseline):
         par = _explorer(SymmetricMulticoreFactory(), baseline, workers=2)
@@ -216,19 +222,7 @@ class TestHygiene:
         block.release()
         block.release()
         assert parallel.live_blocks() == frozenset()
-        if name is not None:
-            from multiprocessing import shared_memory
+        from multiprocessing import shared_memory
 
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
-
-    def test_plan_shards_chunk_aligned(self):
-        spans = parallel.plan_shards(100, 0, 16, workers=3)
-        assert spans[0][0] == 0 and spans[-1][1] == 100
-        for (lo, hi), (nlo, _) in zip(spans, spans[1:]):
-            assert hi == nlo
-            assert lo % 16 == 0
-        # Restored prefixes are excluded and alignment is preserved.
-        resumed = parallel.plan_shards(100, 32, 16, workers=3)
-        assert resumed[0][0] == 32 and resumed[-1][1] == 100
-        assert parallel.plan_shards(100, 100, 16, workers=3) == []
+        with pytest.raises(FileNotFoundError):
+            shared_memory.SharedMemory(name=name)

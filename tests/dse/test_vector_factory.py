@@ -5,6 +5,8 @@ cache contents, identical category counts — with and without a
 
 from __future__ import annotations
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -216,14 +218,17 @@ class TestSweepEngineStats:
             _explorer(SymmetricMulticoreFactory(), baseline).explore(GRID)
         )
 
-    def test_warm_cache_pool_sweep_is_scalar_pool(self, baseline):
+    def test_warm_cache_pool_sweep_runs_in_process(self, baseline, pool_spawns):
         warm = _explorer(SymmetricMulticoreFactory(), baseline)
         warm.explore(GRID)
         pooled = _explorer(
             SymmetricMulticoreFactory(), baseline, workers=2, cache=warm.cache
         )
         results = pooled.explore(GRID)
-        assert pooled.last_sweep.mode == "scalar-pool"
+        assert pooled.last_sweep.mode == "scalar"
+        assert pooled.last_sweep.workers == 0
+        assert pool_spawns == []
+        assert multiprocessing.active_children() == []
         assert list(results) == list(
             _explorer(SymmetricMulticoreFactory(), baseline).explore(GRID)
         )

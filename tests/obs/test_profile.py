@@ -8,14 +8,17 @@ from repro.core.errors import ValidationError
 from repro.obs.profile import CATEGORIES, profile_report, render_profile
 
 
-def _shard(worker, start, dur, compute, shm=0.0):
+def _shard(worker, start, dur, compute, shm=0.0, cpu=None):
+    attrs = {"compute_s": compute, "shm_s": shm}
+    if cpu is not None:
+        attrs["cpu_s"] = cpu
     return {
         "name": "shard",
         "worker": worker,
         "seq": start,
         "t_rel": start,
         "dur_s": dur,
-        "attrs": {"compute_s": compute, "shm_s": shm},
+        "attrs": attrs,
     }
 
 
@@ -94,6 +97,35 @@ class TestProfileReport:
         assert profile.amdahl_attainable == pytest.approx(1.6 / 1.0)
         assert profile.achieved_speedup_estimate == pytest.approx(1.6 / 1.0)
         assert profile.top_cost in CATEGORIES
+
+    def test_oversubscribed_pool_cannot_report_impossible_speedup(self):
+        # 4 workers on a 2-CPU host: each shard's wall-clock compute is
+        # inflated 2x by time-sharing (0.6 s wall, 0.3 s of CPU). Wall
+        # compute would claim 2.8x; the host can deliver at most 2x.
+        report = _report(
+            [_shard(w, 0.2, 0.6, compute=0.6, cpu=0.3) for w in (1, 2, 3, 4)],
+            workers=4,
+        )
+        report["manifest"]["node"] = {"cpu_count": 2}
+        profile = profile_report(report)
+        assert profile.seconds["compute"] == pytest.approx(4 * 0.3 / 4)
+        assert profile.achieved_speedup_estimate <= 2.0
+        assert profile.amdahl_attainable <= 2.0
+        # t1 = serial + CPU compute = 0.4 + 1.2 over a 1.0 s wall.
+        assert profile.achieved_speedup_estimate == pytest.approx(1.6)
+        page = render_profile(profile)
+        assert "estimated" in page
+        assert "achieved" not in page
+
+    def test_speedup_capped_at_host_cpus_without_cpu_time(self):
+        report = _report(
+            [_shard(w, 0.2, 0.6, compute=0.6) for w in (1, 2, 3, 4)],
+            workers=4,
+        )
+        report["manifest"]["node"] = {"cpu_count": 2}
+        profile = profile_report(report)
+        assert profile.achieved_speedup_estimate == pytest.approx(2.0)
+        assert profile.amdahl_attainable <= 2.0
 
     def test_requires_a_trace_report(self):
         with pytest.raises(ValidationError):

@@ -2,8 +2,10 @@
 
 Every test here injects genuine failures — worker processes dying via
 ``os._exit``, workers oversleeping a chunk timeout, factories raising
-mid-chunk — and asserts the recovered sweep is *identical* to the
+mid-shard — and asserts the recovered sweep is *identical* to the
 fault-free reference, down to the NCF bit patterns and cache contents.
+The faults fire inside ``batch_arrays`` (``FaultPlan.wrap_vector``), so
+every sweep here runs on the parallel-columnar pool.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ class TestWorkerCrash:
     ):
         plan = FaultPlan.plan(grid, seed=11, state_dir=tmp_path, crashes=1)
         explorer = make_explorer(
-            factory=plan.wrap(factory), workers=2, resilience=fast_policy
+            factory=plan.wrap_vector(factory), workers=2, resilience=fast_policy
         )
         result = explorer.explore_arrays(grid)
         assert_identical(result, reference)
@@ -52,7 +54,7 @@ class TestWorkerCrash:
         from concurrent.futures.process import BrokenProcessPool
 
         plan = FaultPlan.plan(grid, seed=11, state_dir=tmp_path, crashes=1)
-        explorer = make_explorer(factory=plan.wrap(factory), workers=2)
+        explorer = make_explorer(factory=plan.wrap_vector(factory), workers=2)
         with pytest.raises(BrokenProcessPool):
             explorer.explore_arrays(grid)
 
@@ -68,7 +70,7 @@ class TestChunkTimeout:
             max_retries=2, backoff_base_s=0.001, chunk_timeout_s=2.0
         )
         explorer = make_explorer(
-            factory=plan.wrap(factory), workers=2, resilience=policy
+            factory=plan.wrap_vector(factory), workers=2, resilience=policy
         )
         result = explorer.explore_arrays(grid)
         assert_identical(result, reference)
@@ -83,7 +85,7 @@ class TestTransientError:
     ):
         plan = FaultPlan.plan(grid, seed=17, state_dir=tmp_path, errors=2)
         explorer = make_explorer(
-            factory=plan.wrap(factory), workers=2, resilience=fast_policy
+            factory=plan.wrap_vector(factory), workers=2, resilience=fast_policy
         )
         result = explorer.explore_arrays(grid)
         assert_identical(result, reference)
@@ -101,13 +103,13 @@ class TestKillThenResume:
 
         ckpt = tmp_path / "sweep.ckpt"
         plan = FaultPlan.plan(grid, seed=19, state_dir=tmp_path, crashes=1)
-        doomed = make_explorer(factory=plan.wrap(factory), workers=2)
+        doomed = make_explorer(factory=plan.wrap_vector(factory), workers=2)
         with pytest.raises(BrokenProcessPool):
             doomed.explore_arrays(grid, checkpoint=ckpt)
         # The fault fired once; the resumed run evaluates clean. It may
         # restart cold (crash before the first save) or resume partway —
         # the output must be identical either way.
-        resumed = make_explorer(factory=plan.wrap(factory), workers=2)
+        resumed = make_explorer(factory=plan.wrap_vector(factory), workers=2)
         result = resumed.explore_arrays(grid, checkpoint=ckpt, resume=True)
         assert_identical(result, reference)
 

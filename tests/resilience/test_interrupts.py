@@ -106,7 +106,7 @@ class TestBrokenPool:
         from repro.resilience import FaultPlan
 
         plan = FaultPlan.plan(grid, seed=23, state_dir=tmp_path, crashes=1)
-        explorer = make_explorer(factory=plan.wrap(factory), workers=2)
+        explorer = make_explorer(factory=plan.wrap_vector(factory), workers=2)
         with pytest.raises(BrokenProcessPool):
             explorer.explore_arrays(grid)
         assert _settled_children() == []
@@ -118,7 +118,7 @@ class TestBrokenPool:
 
         plan = FaultPlan.plan(grid, seed=23, state_dir=tmp_path, crashes=1)
         explorer = make_explorer(
-            factory=plan.wrap(factory), workers=2, resilience=fast_policy
+            factory=plan.wrap_vector(factory), workers=2, resilience=fast_policy
         )
         explorer.explore_arrays(grid)
         assert _settled_children() == []
@@ -137,7 +137,7 @@ class TestBrokenPool:
             max_retries=1, backoff_base_s=0.001, chunk_timeout_s=1.0
         )
         explorer = make_explorer(
-            factory=plan.wrap(factory), workers=2, resilience=policy
+            factory=plan.wrap_vector(factory), workers=2, resilience=policy
         )
         explorer.explore_arrays(grid)
         assert _settled_children() == []

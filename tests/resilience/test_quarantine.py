@@ -3,7 +3,9 @@
 Like ``test_chaos.py``, nothing here is mocked: poison points really
 kill worker processes with ``os._exit``, stale faults really wedge a
 worker past the heartbeat deadline, and irrecoverable pools are really
-irrecoverable. The invariant under test is the containment contract —
+irrecoverable. Faults fire inside ``batch_arrays``
+(``FaultPlan.wrap_vector``), so every sweep runs on the
+parallel-columnar pool. The invariant under test is the containment contract —
 every *surviving* point is byte-identical to the fault-free sweep, and
 every excluded point is reported, never silently dropped.
 """
@@ -51,13 +53,8 @@ def assert_survivors_identical(result, reference, quarantined):
         )
 
 
-def wrapped(plan, factory, mode):
-    """Scalar-pool hides ``batch_arrays``; parallel-columnar keeps it."""
-    return plan.wrap(factory) if mode == "scalar-pool" else plan.wrap_vector(factory)
-
-
 class TestPoisonQuarantine:
-    @pytest.mark.parametrize("mode", ["scalar-pool", "parallel-columnar"])
+    @pytest.mark.parametrize("mode", ["parallel-columnar"])
     def test_poison_points_are_isolated_and_survivors_match(
         self, make_explorer, grid, factory, tmp_path, quarantine_policy,
         reference, mode,
@@ -65,7 +62,7 @@ class TestPoisonQuarantine:
         plan = FaultPlan.plan(grid, seed=23, state_dir=tmp_path, poisons=2)
         ledger = QuarantineLedger(tmp_path / "poison.json")
         explorer = make_explorer(
-            factory=wrapped(plan, factory, mode),
+            factory=plan.wrap_vector(factory),
             workers=2,
             resilience=quarantine_policy,
         )
@@ -84,7 +81,7 @@ class TestPoisonQuarantine:
         assert explorer.last_sweep.quarantined_points == 2
         assert explorer.last_sweep.mode == mode
 
-    @pytest.mark.parametrize("mode", ["scalar-pool", "parallel-columnar"])
+    @pytest.mark.parametrize("mode", ["parallel-columnar"])
     def test_ledger_prefilter_skips_known_poison_without_crashing(
         self, make_explorer, grid, factory, tmp_path, quarantine_policy,
         reference, mode,
@@ -92,7 +89,7 @@ class TestPoisonQuarantine:
         plan = FaultPlan.plan(grid, seed=23, state_dir=tmp_path, poisons=2)
         ledger = QuarantineLedger(tmp_path / "poison.json")
         first = make_explorer(
-            factory=wrapped(plan, factory, mode),
+            factory=plan.wrap_vector(factory),
             workers=2,
             resilience=quarantine_policy,
         )
@@ -102,7 +99,7 @@ class TestPoisonQuarantine:
         # Second run, same ledger path, fresh explorer: the poison
         # points are excluded up front — zero crashes, zero bisections.
         rerun = make_explorer(
-            factory=wrapped(plan, factory, mode),
+            factory=plan.wrap_vector(factory),
             workers=2,
             resilience=quarantine_policy,
         )
@@ -135,7 +132,7 @@ class TestPoisonQuarantine:
             degrade_in_process=False,
         )
         explorer = make_explorer(
-            factory=plan.wrap(factory), workers=2, resilience=policy
+            factory=plan.wrap_vector(factory), workers=2, resilience=policy
         )
         with pytest.raises(WorkerPoolError):
             explorer.explore_arrays(grid)
@@ -155,7 +152,7 @@ class TestHeartbeatWatchdog:
             heartbeat_timeout_s=0.5,
         )
         explorer = make_explorer(
-            factory=plan.wrap(factory), workers=2, resilience=policy
+            factory=plan.wrap_vector(factory), workers=2, resilience=policy
         )
         start = time.monotonic()
         result = explorer.explore_arrays(grid)
@@ -192,7 +189,7 @@ class TestSalvage:
         )
         ckpt = tmp_path / "salvage.ckpt"
         explorer = make_explorer(
-            factory=plan.wrap(factory), workers=2, resilience=policy
+            factory=plan.wrap_vector(factory), workers=2, resilience=policy
         )
         result = explorer.explore_arrays(grid, checkpoint=ckpt)
 
@@ -229,7 +226,7 @@ class TestSalvage:
             salvage=True,
         )
         ckpt = tmp_path / "salvage.ckpt"
-        poisoned_factory = plan.wrap(factory)
+        poisoned_factory = plan.wrap_vector(factory)
         partial = make_explorer(
             factory=poisoned_factory, workers=2, resilience=salvage_policy
         ).explore_arrays(grid, checkpoint=ckpt)
@@ -289,7 +286,7 @@ class TestNoOrphans:
 
         plan = FaultPlan.plan(grid, seed=23, state_dir=tmp_path, poisons=2)
         explorer = make_explorer(
-            factory=plan.wrap(factory), workers=2, resilience=quarantine_policy
+            factory=plan.wrap_vector(factory), workers=2, resilience=quarantine_policy
         )
         explorer.explore_arrays(
             grid, quarantine=QuarantineLedger(tmp_path / "poison.json")

@@ -118,8 +118,8 @@ class TestRetryLadder:
                 return job
 
         with SupervisedPool(2, RetryPolicy(max_retries=2, **NO_SLEEP), ThreadPoolExecutor) as pool:
-            # Two workers, two batches: ["ok0"], ["bad"]. Only the
-            # failing batch may be dispatched twice.
+            # One future per job. Only the failing job may be
+            # dispatched twice.
             assert pool.run(Recorder(), ["ok0", "bad"]) == ["ok0", "bad"]
         assert calls.count("ok0") == 1
         assert calls.count("bad") == 2
@@ -134,7 +134,7 @@ class TestDegradedPool:
             assert pool.run(double, [1, 2, 3]) == [2, 4, 6]
             assert pool.degraded
             assert pool.stats.pool_degraded
-            assert pool.stats.degraded_batches == 2  # split over 2 batches
+            assert pool.stats.degraded_batches == 3  # one per job
 
     def test_respawn_budget_exhaustion_degrades(self):
         policy = RetryPolicy(max_retries=10, max_respawns=1, **NO_SLEEP)

@@ -479,7 +479,8 @@ class TestParallelTelemetry:
         assert len(shares) == 5  # serial/dispatch/compute/shm/straggler
         assert sum(shares) == pytest.approx(100.0, abs=0.5)
         assert "top cost center" in out
-        assert "attainable" in out and "achieved" in out
+        assert "attainable" in out and "estimated" in out
+        assert "achieved" not in out  # modeled from one run, not measured
 
     def test_export_rejects_non_trace_json(self, tmp_path, capsys):
         bogus = tmp_path / "bogus.json"
