@@ -96,7 +96,6 @@ def unguarded_explore_arrays(
     classification kernels, no checkpoint plumbing, no supervision."""
     tracer = obs_trace.get_tracer()
     mode = explorer._resolve_mode()
-    use_vector = mode == "columnar"
     params_list = []
     designs = []
     with tracer.span(
@@ -109,10 +108,7 @@ def unguarded_explore_arrays(
         start_s = time.perf_counter()
         for index, chunk in enumerate(_chunked(iter(grid), explorer.chunk_size)):
             with tracer.span("chunk", index=index, mode=mode):
-                if use_vector:
-                    outcomes = explorer._vector_chunk(chunk)
-                else:
-                    outcomes = explorer._evaluate_chunk(chunk)
+                outcomes = explorer._evaluate(chunk, mode)
                 for params, outcome in zip(chunk, outcomes):
                     if isinstance(outcome, DomainError):
                         continue

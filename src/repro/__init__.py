@@ -71,9 +71,21 @@ from .core import (
     relative_footprint,
     robust_classification,
 )
-from .studies import all_findings, case_study, run_study, study_names
 
 __version__ = "1.0.0"
+
+#: Names served from :mod:`repro.studies`, imported on first access:
+#: the study drivers cost more to import than the whole model, and most
+#: commands (``focal sweep`` among them) never run one.
+_STUDY_EXPORTS = ("run_study", "study_names", "all_findings", "case_study")
+
+
+def __getattr__(name: str) -> object:
+    if name in _STUDY_EXPORTS:
+        from . import studies
+
+        return getattr(studies, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "__version__",

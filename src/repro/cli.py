@@ -44,8 +44,6 @@ from .obs.log import get_logger, kv
 from .report.ascii_plot import render_panel
 from .report.export import figure_to_csv, figure_to_json, figure_to_markdown, write_figure
 from .report.table import format_mapping_rows
-from .studies.findings import all_findings
-from .studies.registry import run_study, study_names
 
 __all__ = ["main", "build_parser"]
 
@@ -180,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     fig = sub.add_parser("figure", help="regenerate one figure")
-    fig.add_argument("name", help=f"one of: {', '.join(study_names())}")
+    fig.add_argument("name", help="a study name (see `focal list`)")
     fig.add_argument(
         "--format",
         choices=("ascii", "csv", "json", "md", "html"),
@@ -381,18 +379,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_list() -> int:
+    from .studies.registry import study_names
+
     for name in study_names():
         print(name)
     return 0
 
 
 def _cmd_version() -> int:
-    import os
     import platform
 
     import numpy
 
     from . import __version__
+    from .obs.manifest import usable_cpus
 
     print(
         f"focal {__version__} "
@@ -400,7 +400,7 @@ def _cmd_version() -> int:
     )
     print(
         f"platform: {platform.platform()} "
-        f"[{platform.machine() or 'unknown'}, {os.cpu_count() or 1} cpus]"
+        f"[{platform.machine() or 'unknown'}, {usable_cpus()} cpus]"
     )
     return 0
 
@@ -521,6 +521,8 @@ def _profile_bench_report(args: argparse.Namespace) -> dict:
 
 
 def _cmd_figure(name: str, fmt: str, out: str | None) -> int:
+    from .studies.registry import run_study
+
     figure = run_study(name)
     if out:
         path = write_figure(figure, out)
@@ -547,6 +549,8 @@ def _cmd_figure(name: str, fmt: str, out: str | None) -> int:
 
 
 def _cmd_findings(failed_only: bool) -> int:
+    from .studies.findings import all_findings
+
     checks = all_findings()
     shown = [c for c in checks if not (failed_only and c.passed)]
     failed = [c for c in checks if not c.passed]

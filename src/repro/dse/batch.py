@@ -59,7 +59,7 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import product
 from typing import (
     Callable,
@@ -94,6 +94,7 @@ from ..obs import events as _events
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
 from ..obs.log import get_logger, kv
+from ..obs.manifest import usable_cpus
 from ..resilience.checkpoint import (
     CheckpointStore,
     decode_outcomes,
@@ -316,44 +317,43 @@ class _StoreUse:
     ``memo_points``/``fresh_points`` are *not* here — those fall out of
     the cache-counter deltas (store- and checkpoint-served points bump
     neither counter, exactly like checkpoint restore always worked).
+    The fields are named as in :class:`SweepEngineStats`.
     """
 
-    full_chunks: int = 0
+    store_chunks: int = 0
     delta_chunks: int = 0
-    memory_points: int = 0
-    disk_points: int = 0
+    store_memory_points: int = 0
+    store_disk_points: int = 0
 
 
 class _ParallelPlan:
     """Execution state of one parallel-columnar sweep.
 
-    Holds the collected grid chunks, the shared result block, the
-    worker pool and the chunk-aligned shard spans still to evaluate
-    (chunks restored from a checkpoint — and chunks the persistent
-    store holds any rows of — are excluded: their rows of the block
-    are never written or read). The kernel-phase timing fields feed
-    the ``focal_parallel_*`` gauges.
+    Holds the shared result block, the worker pool and the
+    chunk-aligned shard spans over the *planned* chunks — those with no
+    row to reuse (no checkpoint record, store row or known poison
+    point) and no calibration arrays; every other chunk's block rows
+    are never written or read. The kernel-phase timing fields feed the
+    ``focal_parallel_*`` gauges.
     """
 
     def __init__(
         self,
-        chunks: list[Sequence[Mapping[str, object]]],
         chunk_size: int,
         block: "_parallel.ColumnarBlock",
         pool,
         spans: list[tuple[int, int]],
+        planned: set[int],
         spill_dir: str | None = None,
-        planned: set[int] | None = None,
         arena: "_parallel.GridArena | None" = None,
     ) -> None:
-        self.chunks = chunks
         self.chunk_size = chunk_size
         self.block = block
         self.pool = pool
         self.spans = spans
         #: Chunk indices whose block rows the kernel phase fills —
         #: only these may be read back via :meth:`chunk_arrays`.
-        self.planned = planned if planned is not None else set(range(len(chunks)))
+        self.planned = planned
         #: Chunk indices covered by shards the supervisor salvaged as
         #: INCOMPLETE — their block rows were never written and the
         #: chunk loop must stop (salvage) when it reaches them.
@@ -372,28 +372,205 @@ class _ParallelPlan:
         )
         self.kernel_wall = 0.0
         self.busy = 0.0
+        #: The largest and the smallest (tail) dispatched span, in points.
+        self.shard_points = max((hi - lo for lo, hi in spans), default=0)
+        self.tail_shard_points = min((hi - lo for lo, hi in spans), default=0)
 
-    @property
-    def shard_points(self) -> int:
-        """The largest dispatched span, in grid points."""
-        return max((hi - lo for lo, hi in self.spans), default=0)
-
-    @property
-    def tail_shard_points(self) -> int:
-        """The smallest dispatched span, in grid points."""
-        return min((hi - lo for lo, hi in self.spans), default=0)
-
-    def chunk_arrays(self, index: int) -> DesignArrays:
-        """Chunk *index*'s kernel columns, copied out of the block (so
-        the shared segment can be unlinked before results are dropped)."""
+    def chunk_arrays(self, index: int, points: int) -> DesignArrays:
+        """The kernel columns of chunk *index* (*points* rows), copied out
+        of the block (so the segment can be unlinked before results are
+        dropped)."""
         lo = index * self.chunk_size
-        hi = lo + len(self.chunks[index])
-        return DesignArrays(*self.block.rows(lo, hi))
+        return DesignArrays(*self.block.rows(lo, lo + points))
 
-    def release(self) -> None:
+    def close(self) -> None:
+        """Shut the pool down, release the segments and collect what
+        dead workers spilled but never replied with."""
+        if self.pool is not None:
+            self.pool.shutdown(cancel_futures=True)
         self.block.release()
         if self.arena is not None:
             self.arena.release()
+        if self.spill_dir is not None:
+            _events.get_log().collect_spill(self.spill_dir)
+            _events.cleanup_spill_dir(self.spill_dir)
+        _parallel.clear_worker_state()
+
+
+@dataclass
+class _ChunkReuse:
+    """What one chunk already knows before anything is evaluated.
+
+    ``outcomes`` has one slot per row: a reused outcome, or ``None`` for
+    the rows listed in ``missing`` (the evaluate phase fills them).
+    ``restored`` marks a chunk replayed from the checkpoint and
+    ``probe`` is the store probe over the rows the ledger left.
+    """
+
+    outcomes: list
+    missing: Sequence[int]
+    restored: bool = False
+    probe: ChunkProbe | None = None
+
+
+class _SweepRun:
+    """One :meth:`BatchExplorer.explore_arrays` run: its execution mode
+    and pool plan, its reuse sources, its commit sinks and the rows it
+    has collected so far.
+
+    A chunk's rows are reused from, in order: its checkpoint record (a
+    restored chunk reuses every row), the quarantine ledger (known
+    poison gets its marker) and the store (probed for the rows the
+    ledger left). Committing memoizes the reused rows without counting
+    them, stores a chunk that evaluated rows or was restored, and
+    appends one checkpoint record per chunk that was not restored.
+    """
+
+    def __init__(
+        self,
+        explorer: "BatchExplorer",
+        grid: ParameterGrid,
+        mode: str,
+        checkpoint: "CheckpointStore | str | os.PathLike | None",
+        resume: bool,
+        store: "ResultStore | str | os.PathLike | None",
+        quarantine: "QuarantineLedger | str | os.PathLike | None",
+    ) -> None:
+        factory = explorer.factory
+        self.cache = explorer.cache
+        self.mode = mode
+        self.plan: _ParallelPlan | None = None
+        self.failure: FailureReport | None = None
+        self.fingerprint: dict | None = None
+        if checkpoint is not None:
+            self.fingerprint = sweep_fingerprint(
+                axes=grid.axes,
+                chunk_size=explorer.chunk_size,
+                baseline=explorer.baseline,
+                alpha=explorer.weight.alpha,
+                factory=factory,
+            )
+        self.ckpt, state = CheckpointStore.open(
+            checkpoint, resume=resume, kind="sweep", fingerprint=self.fingerprint
+        )
+        self.restored: list = list(state.get("chunks", [])) if state else []
+        result_store = ResultStore.coerce(store)
+        self.session: SweepStoreSession | None = None
+        self.use: _StoreUse | None = None
+        if result_store is not None:
+            self.session = result_store.sweep_session(factory)
+            self.use = _StoreUse()
+        ledger = QuarantineLedger.coerce(quarantine)
+        self.qsession: QuarantineSession | None = None
+        if ledger is not None:
+            self.qsession = ledger.session(describe_factory(factory))
+        self.params: list[Mapping[str, object]] = []
+        self.designs: list[DesignPoint] = []
+        self.quarantined: list[Mapping[str, object]] = []
+        self.chunks_done = 0
+        self.start_s = 0.0
+        self.cache_before = self.cache.stats()
+
+    def reuse(self, index: int, chunk: Sequence[Mapping[str, object]]) -> _ChunkReuse:
+        """Chunk *index*'s known rows and the list of missing ones."""
+        if index < len(self.restored):
+            rows = self.restored[index]
+            if len(rows) != len(chunk):
+                raise CheckpointError(
+                    f"checkpoint {self.ckpt.path} records {len(rows)} outcomes "
+                    f"for a {len(chunk)}-point chunk; the file does not "
+                    "match this grid"
+                )
+            return _ChunkReuse(decode_outcomes(rows), [], restored=True)
+        outcomes: list = [None] * len(chunk)
+        missing: Sequence[int] = range(len(chunk))
+        if self.qsession is not None and self.qsession.known_count:
+            outcomes = [self.qsession.marker(params) for params in chunk]
+            missing = [row for row, outcome in enumerate(outcomes) if outcome is None]
+        probe = None
+        if self.session is not None and missing:
+            if len(missing) == len(chunk):
+                probe = self.session.probe(chunk)
+                outcomes, missing = probe.outcomes, probe.missing
+            else:
+                probe = self.session.probe([chunk[row] for row in missing])
+                for row, outcome in zip(missing, probe.outcomes):
+                    outcomes[row] = outcome
+                missing = [missing[row] for row in probe.missing]
+        return _ChunkReuse(outcomes, missing, probe=probe)
+
+    def commit(self, chunk: Sequence[Mapping[str, object]], reuse: _ChunkReuse) -> None:
+        """Memoize the reused rows, store and checkpoint the chunk."""
+        outcomes = reuse.outcomes
+        if len(reuse.missing) < len(chunk):
+            # The evaluate phase memoized (and counted) the missing rows;
+            # storing them again with the reused ones changes no entry.
+            self.cache.store_many(params_keys(chunk), outcomes)
+        probe = reuse.probe
+        if probe is not None and probe.hit_points:
+            if reuse.missing:
+                self.use.delta_chunks += 1
+            else:
+                self.use.store_chunks += 1
+            self.use.store_memory_points += probe.memory_points
+            self.use.store_disk_points += probe.disk_points
+        if self.session is not None and (reuse.restored or reuse.missing):
+            # Resumed work is stored too: the next process should not
+            # recompute it. (Chunks holding quarantine markers are not.)
+            self.session.put(chunk, outcomes, probe)
+        if (
+            self.ckpt is not None
+            and not reuse.restored
+            and not self.ckpt.save_or_warn(
+                kind="sweep",
+                fingerprint=self.fingerprint,
+                state={"chunks": [encode_outcomes(outcomes)]},
+            )
+        ):
+            self.ckpt = None
+
+    def collect(self, chunk: Sequence[Mapping[str, object]], outcomes: list) -> int:
+        """Sort the chunk's rows into results, quarantined points and
+        skipped invalid corners; returns the valid-row count."""
+        add_params, add_design = self.params.append, self.designs.append
+        valid = 0
+        for params, outcome in zip(chunk, outcomes):
+            if not isinstance(outcome, DomainError):
+                add_params(params)
+                add_design(outcome)
+                valid += 1
+            elif isinstance(outcome, QuarantinedPoint):
+                self.quarantined.append(params)
+        self.chunks_done += 1
+        return valid
+
+    def salvage(self, exc: Exception, grid_points: int, chunk_size: int) -> None:
+        """Report the salvaged partial run (completed prefix kept).
+
+        The sweep stops before an unfinished chunk, so every completed
+        chunk is a full one."""
+        done = self.chunks_done * chunk_size
+        self.failure = failure = FailureReport(
+            reason="irrecoverable worker pool; completed prefix salvaged",
+            error=str(exc),
+            completed_chunks=self.chunks_done,
+            total_chunks=-(-grid_points // chunk_size),
+            completed_points=done,
+            pending_points=grid_points - done,
+            checkpoint=str(self.ckpt.path) if self.ckpt is not None else None,
+        )
+        _events.record("sweep.salvage", track="supervisor")
+        _metrics.get_registry().counter(
+            "focal_salvage_runs_total", "sweeps salvaged as partial results"
+        ).inc()
+        get_logger().warning(kv("sweep.salvage", **failure.as_dict()))
+
+    def close(self) -> None:
+        """Freshen the store's journal and wind the pool plan down."""
+        if self.session is not None:
+            self.session.flush()
+        if self.plan is not None:
+            self.plan.close()
 
 
 @dataclass(frozen=True)
@@ -808,13 +985,6 @@ class BatchExplorer:
         return self.workers if isinstance(self.workers, int) else 0
 
     @staticmethod
-    def _cpu_count() -> int:
-        try:
-            return len(os.sched_getaffinity(0))
-        except (AttributeError, OSError):  # pragma: no cover - non-Linux
-            return os.cpu_count() or 1
-
-    @staticmethod
     def _auto_decision(serial_est_s: float, cpus: int) -> int:
         """Workers the calibration picks for a projected serial time."""
         if cpus < 2 or serial_est_s < AUTO_MIN_SERIAL_S:
@@ -852,51 +1022,56 @@ class BatchExplorer:
             if self.workers != "auto":
                 resolved = self.workers
             else:
-                chunk = next(_chunked(iter(grid), self.chunk_size), [])
-                if chunk:
-                    columns = self._chunk_columns(chunk)
-                    begin = time.perf_counter()
-                    arrays = self.factory.batch_arrays(columns)
-                    elapsed = time.perf_counter() - begin
-                    if len(arrays) != len(chunk):
-                        raise ConfigurationError(
-                            f"batch_arrays returned {len(arrays)} rows for a "
-                            f"{len(chunk)}-point chunk"
-                        )
-                    serial_est = elapsed / max(1, len(chunk)) * len(grid)
-                    resolved = self._auto_decision(serial_est, self._cpu_count())
-                    object.__setattr__(self, "_cal", (len(chunk), arrays))
+                points = min(self.chunk_size, len(grid))
+                columns = self._axis_columns(grid)(0, points)
+                begin = time.perf_counter()
+                arrays = self._kernel_arrays(columns, points)
+                serial_est = (time.perf_counter() - begin) / points * len(grid)
+                resolved = self._auto_decision(serial_est, usable_cpus())
+                object.__setattr__(self, "_cal", (points, arrays))
         object.__setattr__(self, "_active_workers", resolved)
         return resolved
 
-    def _take_cal_arrays(self, chunk_len: int) -> "DesignArrays | None":
-        """The calibration chunk's arrays, if they cover exactly this
-        first chunk (consumed — reuse is single-shot)."""
+    def _cal_arrays(self, index: int, points: int) -> "DesignArrays | None":
+        """The calibration's kernel columns when they cover chunk
+        *index* (only ever chunk 0) of *points* rows, else ``None``."""
         cal = self._cal
-        object.__setattr__(self, "_cal", None)
-        if cal is not None and cal[0] == chunk_len:
+        if index == 0 and cal is not None and cal[0] == points:
             return cal[1]
         return None
 
     # ------------------------------------------------------------------
-    # Factory evaluation (cached, optionally parallel)
+    # Factory evaluation: the one evaluator of missing rows
     # ------------------------------------------------------------------
-    def _evaluate_chunk(
-        self, chunk: Sequence[Mapping[str, object]]
+    def _evaluate(
+        self,
+        rows: Sequence[Mapping[str, object]],
+        mode: str,
+        arrays: "DesignArrays | None" = None,
+        qsession: "QuarantineSession | None" = None,
     ) -> list[DesignPoint | DomainError]:
-        """Evaluate (or recall) one chunk through the scalar factory.
+        """Evaluate *rows* (a chunk, or the rows of one it could not
+        reuse), memoizing every outcome.
 
-        Hot loop: keys come pre-built by params_keys (one name sort per
-        chunk) and the per-point work is one dict probe. Counters are
-        accumulated locally and flushed once through record().
+        The scalar mode is the memo loop: keys come pre-built by
+        params_keys (one name sort per chunk), the per-point work is one
+        dict probe, and counters are flushed once through record(). The
+        columnar modes materialize from kernel columns — *arrays* when
+        the calibration or the pool already computed them, else one
+        ``batch_arrays`` pass (elementwise, so a subset is bit-exact) —
+        and count every row as a fresh evaluation.
         """
+        if mode in COLUMNAR_MODES:
+            if arrays is None:
+                arrays = self._kernel_arrays(self._chunk_columns(rows), len(rows))
+            return self._outcomes_from_arrays(rows, arrays, qsession)
         cache = self.cache
         entries = cache._entries
         factory = self.factory
         outcomes: list[DesignPoint | DomainError] = []
         hits = 0
         misses = 0
-        for key, params in zip(params_keys(chunk), chunk):
+        for key, params in zip(params_keys(rows), rows):
             outcome = entries.get(key)
             if outcome is None:
                 misses += 1
@@ -939,22 +1114,17 @@ class BatchExplorer:
             for name in chunk[0]
         }
 
-    def _vector_chunk(
-        self, chunk: Sequence[Mapping[str, object]]
-    ) -> list[DesignPoint | DomainError]:
-        """Evaluate a cold chunk through the factory's columnar path.
-
-        ``batch_arrays`` computes every row's area/perf/power in a few
-        vectorized passes; materialization and memoization are shared
-        with the parallel path (:meth:`_outcomes_from_arrays`).
-        """
-        arrays = self.factory.batch_arrays(self._chunk_columns(chunk))
-        if len(arrays) != len(chunk):
+    def _kernel_arrays(
+        self, columns: Mapping[str, np.ndarray], points: int
+    ) -> DesignArrays:
+        """``batch_arrays`` over *columns*, checked to cover *points* rows."""
+        arrays = self.factory.batch_arrays(columns)
+        if len(arrays) != points:
             raise ConfigurationError(
                 f"batch_arrays returned {len(arrays)} rows for a "
-                f"{len(chunk)}-point chunk"
+                f"{points}-point chunk"
             )
-        return self._outcomes_from_arrays(chunk, arrays)
+        return arrays
 
     def _outcomes_from_arrays(
         self,
@@ -1102,58 +1272,37 @@ class BatchExplorer:
     def _parallel_setup(
         self,
         chunks: list[Sequence[Mapping[str, object]]],
-        restored: int,
+        reuses: list[_ChunkReuse],
         grid: ParameterGrid,
-        probes: "dict[int, ChunkProbe] | None" = None,
         qsession: "QuarantineSession | None" = None,
-        blocked: "set[int] | None" = None,
     ) -> "_ParallelPlan | None":
         """Allocate the sweep's shared block, publish the input grid
-        columns, plan the shard spans over the still-pending chunks,
+        columns, plan the shard spans over the wholly missing chunks,
         and spawn the pool — or return ``None`` (releasing any segment
         already made) when the block or the arena gets no shared
         backing, in which case the sweep runs in-process columnar.
 
-        The first *restored* chunks came from a checkpoint, and chunks
-        whose *probe* found any stored rows are resolved in the parent
-        (adopted whole or stitched) — neither is dispatched, and their
-        block rows are never written or read. Chunks in *blocked*
-        contain points the quarantine ledger already knows as poison;
-        they are excluded too (dispatching one would deterministically
-        crash a worker) and evaluate in the parent with their poison
-        rows pre-filtered. That keeps resume and store reuse bit-exact
-        and free of redundant kernel work. A sweep with no pending
-        chunk gets no pool at all.
-
-        When ``workers="auto"`` calibrated on the first chunk and that
-        chunk is still pending, its arrays are written into the block
-        up front and the chunk is dropped from the dispatch spans —
-        calibration cost no extra kernel work.
+        A chunk with any reused row (checkpoint record, store row or
+        ledger-known poison point, per *reuses*) is never dispatched:
+        its missing rows evaluate in the parent, so resume and store
+        reuse stay bit-exact and a known poison point never crashes a
+        worker again. Neither is a chunk 0 the ``workers="auto"``
+        calibration already ran. A sweep with nothing to dispatch gets
+        no pool at all.
         """
         total = sum(len(chunk) for chunk in chunks)
         spill_kw = dict(spill_dir=self.spill_dir, spill_bytes=self.spill_bytes)
         block = _parallel.ColumnarBlock.allocate(total, **spill_kw)
         if block is None:
             return None
-        pending: set[int] = set()
-        for index in range(restored, len(chunks)):
-            if blocked and index in blocked:
-                continue
-            probe = probes.get(index) if probes else None
-            if probe is None or not probe.hit_points:
-                pending.add(index)
-        planned = set(pending)
-        cal_first = (
-            0 in pending
-            and self._cal is not None
-            and self._cal[0] == len(chunks[0])
-        )
-        if cal_first:
-            # Prefilled below: its rows read back via chunk_arrays like
-            # any dispatched chunk's would.
-            pending.discard(0)
+        planned = {
+            index
+            for index, (chunk, reuse) in enumerate(zip(chunks, reuses))
+            if len(reuse.missing) == len(chunk)
+            and self._cal_arrays(index, len(chunk)) is None
+        }
         runs: list[tuple[int, int]] = []
-        for index in sorted(pending):
+        for index in sorted(planned):
             lo = index * self.chunk_size
             hi = lo + len(chunks[index])
             if runs and runs[-1][1] == lo:
@@ -1175,19 +1324,7 @@ class BatchExplorer:
             )
             spill = _events.make_spill_dir(base=scratch) if capture else None
             pool = self._make_pool(block, arena, capture, spill, qsession, scratch)
-        if cal_first:
-            cal = self._take_cal_arrays(len(chunks[0]))
-            block.write(0, len(chunks[0]), cal.area, cal.perf, cal.power, cal.valid)
-        return _ParallelPlan(
-            chunks,
-            self.chunk_size,
-            block,
-            pool,
-            spans,
-            spill_dir=spill,
-            planned=planned,
-            arena=arena,
-        )
+        return _ParallelPlan(self.chunk_size, block, pool, spans, planned, spill, arena)
 
     def _parallel_kernels(
         self, plan: _ParallelPlan, tracer: _trace.Tracer
@@ -1271,217 +1408,71 @@ class BatchExplorer:
 
         Invalid corners (factories raising ``DomainError``) are dropped,
         exactly like ``Explorer.explore``; an all-invalid sweep raises
-        :class:`~repro.core.errors.ConfigurationError`.
+        :class:`~repro.core.errors.ConfigurationError`. Output
+        (ordering, skips, values, cache contents) is byte-identical to
+        the scalar explorer whatever the path.
 
-        A cold sweep of a :class:`VectorFactory` runs columnar: each
-        chunk's area/perf/power come from ``batch_arrays`` instead of
-        per-point factory calls. Output (ordering, skips, values, cache
-        contents) is byte-identical either way.
+        Each chunk runs the same pipeline (see ``docs/PERFORMANCE.md``):
+        **reuse** the rows already known, **evaluate** only the missing
+        rows (scalar memo loop, or the columnar kernels, in-process or
+        on the pool), **commit** the chunk to memo, store and checkpoint.
 
-        With *checkpoint* set, every completed chunk is appended (and
-        fsynced) as one record of the journal at that path; without
-        *resume* an existing file there is replaced. With *resume*,
-        completed chunks found there are replayed into the cache
-        without re-evaluating the factory, and the sweep continues from
-        the first unfinished chunk. Resume is bit-exact: result arrays,
-        cache entries and the final journal bytes match an
-        uninterrupted run. A checkpoint written by a different run
-        configuration raises :class:`~repro.core.errors.CheckpointError`;
-        a torn or corrupt tail is truncated and the sweep resumes from
-        the valid prefix (a damaged header restarts cold).
-
-        With *store* set (a :class:`~repro.dse.store.ResultStore` or a
-        directory path), every evaluated chunk is persisted to the
-        fingerprint-keyed result store and every chunk is first probed
-        against it: fully stored chunks are adopted byte-identically
-        without touching the factory, partially stored chunks evaluate
-        only their missing rows and stitch (a **delta sweep** — only
-        points no earlier sweep of this factory computed run fresh).
-        The store composes with checkpoint/resume, workers and
-        resilience; store-served chunks are excluded from parallel
-        shard planning exactly like restored checkpoint chunks, and a
-        corrupt store file only means recomputation, never a wrong
-        answer.
-
-        With *quarantine* set (a :class:`~repro.resilience.containment.
-        QuarantineLedger` or a path), points the ledger already records
-        as poison are skipped up front — their chunks evaluate only the
-        healthy rows — and, under a supervised pool, a chunk that
-        exhausts its retry budget is bisected down to the minimal
-        crashing point set, which is recorded in the ledger and
-        excluded (reported in ``BatchSweepResult.quarantined``, never
-        silently dropped). Under ``RetryPolicy(salvage=True,
-        degrade_in_process=False)`` an irrecoverable pool ends the
-        sweep early with the completed prefix and a
-        :class:`~repro.resilience.containment.FailureReport` in
-        ``BatchSweepResult.failure`` instead of raising.
+        * *checkpoint*: every chunk is appended (fsynced) as one journal
+          record; without *resume* an existing file is replaced. With
+          *resume* the recorded chunks are replayed without touching
+          the factory, bit-exactly; a checkpoint from a different run
+          configuration raises :class:`~repro.core.errors.CheckpointError`
+          and a torn tail is truncated to the valid prefix.
+        * *store* (a :class:`~repro.dse.store.ResultStore` or a
+          directory): stored rows are adopted and only the missing rows
+          of a chunk run (a **delta sweep**); evaluated chunks are
+          stored. A corrupt store file only means recomputation.
+        * *quarantine* (a :class:`~repro.resilience.containment.
+          QuarantineLedger` or a path): known poison points are excluded
+          up front; under a supervised pool a chunk that exhausts its
+          retries is bisected to its crashing points, which are recorded
+          and reported in ``BatchSweepResult.quarantined``. Under
+          ``RetryPolicy(salvage=True, degrade_in_process=False)`` an
+          irrecoverable pool ends the sweep with the completed prefix and
+          a :class:`~repro.resilience.containment.FailureReport` in
+          ``BatchSweepResult.failure``.
         """
         tracer = _trace.get_tracer()
         registry = _metrics.get_registry()
         observing = tracer.enabled or registry.enabled
         workers = self._activate_workers(grid)
-        mode = self._resolve_mode()
-        ckpt = CheckpointStore.coerce(checkpoint)
-        if resume and ckpt is None:
-            raise ConfigurationError(
-                "resume=True requires a checkpoint path to resume from"
-            )
-        result_store = ResultStore.coerce(store)
-        session: SweepStoreSession | None = None
-        use: _StoreUse | None = None
-        if result_store is not None:
-            session = result_store.sweep_session(self.factory)
-            use = _StoreUse()
-        qledger = QuarantineLedger.coerce(quarantine)
-        qsession: QuarantineSession | None = None
-        if qledger is not None:
-            qsession = qledger.session(describe_factory(self.factory))
-        fingerprint: dict | None = None
-        restored_chunks: list = []
-        if ckpt is not None:
-            fingerprint = sweep_fingerprint(
-                axes=grid.axes,
-                chunk_size=self.chunk_size,
-                baseline=self.baseline,
-                alpha=self.weight.alpha,
-                factory=self.factory,
-            )
-            if resume:
-                state = ckpt.load_or_restart(
-                    kind="sweep", fingerprint=fingerprint
-                )
-                if state is not None:
-                    restored_chunks = list(state.get("chunks", []))
-            else:
-                ckpt.remove()
-        params_list: list[Mapping[str, object]] = []
-        designs: list[DesignPoint] = []
-        plan: "_ParallelPlan | None" = None
-        probes: dict[int, ChunkProbe] = {}
+        run = _SweepRun(
+            self, grid, self._resolve_mode(), checkpoint, resume, store, quarantine
+        )
         with tracer.span(
             "sweep",
             grid_points=len(grid),
             chunk_size=self.chunk_size,
             workers=workers,
-            mode=mode,
+            mode=run.mode,
         ) as sweep_span:
-            start_s = time.perf_counter()
-            cache_before = self.cache.stats()
-            failure: FailureReport | None = None
-            quarantined_params: list[Mapping[str, object]] = []
-            chunks_done = 0
-            points_done = 0
+            run.start_s = time.perf_counter()
             try:
-                chunks: Iterable = _chunked(iter(grid), self.chunk_size)
-                if mode == "parallel-columnar":
-                    chunks = list(chunks)
-                    if session is not None:
-                        # Probe up front: chunks the store can serve (in
-                        # full or in part) must never reach the pool.
-                        for index in range(len(restored_chunks), len(chunks)):
-                            probes[index] = session.probe(chunks[index])
-                    blocked: set[int] | None = None
-                    if qsession is not None and qsession.known_count:
-                        # Chunks holding known poison points must never
-                        # reach the pool either — dispatching one would
-                        # deterministically crash a worker again.
-                        blocked = {
-                            index
-                            for index, chunk in enumerate(chunks)
-                            if any(
-                                qsession.known(params) is not None
-                                for params in chunk
-                            )
-                        }
-                    plan = self._parallel_setup(
-                        chunks,
-                        len(restored_chunks),
-                        grid,
-                        probes,
-                        qsession,
-                        blocked,
-                    )
-                    if plan is None:
-                        # No shared backing: the pool cannot run, so the
-                        # sweep resolves to the in-process columnar path.
-                        object.__setattr__(self, "_active_workers", 0)
-                        mode = "columnar"
-                        sweep_span.set(workers=0, mode=mode)
-                    else:
-                        self._parallel_kernels(plan, tracer)
+                chunks, reuses = self._plan(grid, run, tracer, sweep_span)
                 for index, chunk in enumerate(chunks):
-                    restored = index < len(restored_chunks)
-                    if plan is not None and index in plan.failed:
+                    if run.plan is not None and index in run.plan.failed:
                         raise _SalvageAbort(
                             f"the shard covering chunk {index} was never "
                             "completed by the worker pool"
                         )
                     with tracer.span(
-                        "chunk", index=index, mode=mode, restored=restored
+                        "chunk",
+                        index=index,
+                        mode=run.mode,
+                        restored=index < len(run.restored),
                     ) as chunk_span:
                         if observing:
                             chunk_start = time.perf_counter()
                             before = self.cache.stats()
-                        if restored:
-                            outcomes = self._restore_chunk(
-                                chunk, restored_chunks[index], ckpt
-                            )
-                            if session is not None:
-                                # Resumed work is stored too: the next
-                                # process should not recompute it.
-                                session.put(chunk, outcomes)
-                        else:
-                            outcomes = None
-                            if (
-                                qsession is not None
-                                and qsession.known_count
-                                and not (plan is not None and index in plan.planned)
-                                and any(
-                                    qsession.known(params) is not None
-                                    for params in chunk
-                                )
-                            ):
-                                outcomes = self._quarantined_chunk(
-                                    chunk, qsession, mode
-                                )
-                            if outcomes is None:
-                                probe = probes.pop(index, None)
-                                if probe is None and session is not None:
-                                    probe = session.probe(chunk)
-                                outcomes = self._resolve_chunk(
-                                    chunk, index, probe, plan, mode,
-                                    session, use, qsession,
-                                )
-                        valid = 0
-                        for params, outcome in zip(chunk, outcomes):
-                            if isinstance(outcome, QuarantinedPoint):
-                                quarantined_params.append(params)
-                                continue
-                            if isinstance(outcome, DomainError):
-                                continue
-                            params_list.append(params)
-                            designs.append(outcome)
-                            valid += 1
-                        if ckpt is not None and not restored:
-                            try:
-                                ckpt.save(
-                                    kind="sweep",
-                                    fingerprint=fingerprint,
-                                    state={"chunks": [encode_outcomes(outcomes)]},
-                                )
-                            except CheckpointError as exc:
-                                # A dead checkpoint must not kill a live
-                                # sweep: continue without checkpointing.
-                                get_logger().warning(
-                                    kv(
-                                        "checkpoint.disabled",
-                                        path=str(ckpt.path),
-                                        error=str(exc),
-                                    )
-                                )
-                                ckpt = None
-                        chunks_done += 1
-                        points_done += len(chunk)
+                        reuse = reuses[index] if reuses else run.reuse(index, chunk)
+                        self._fill_missing(index, chunk, reuse, run)
+                        run.commit(chunk, reuse)
+                        valid = run.collect(chunk, reuse.outcomes)
                         if observing:
                             self._observe_chunk(
                                 registry,
@@ -1492,206 +1483,105 @@ class BatchExplorer:
                                 before=before,
                             )
             except _SalvageAbort as exc:
-                failure = FailureReport(
-                    reason=(
-                        "irrecoverable worker pool; completed prefix "
-                        "salvaged"
-                    ),
-                    error=str(exc),
-                    completed_chunks=chunks_done,
-                    total_chunks=-(-len(grid) // self.chunk_size),
-                    completed_points=points_done,
-                    pending_points=len(grid) - points_done,
-                    checkpoint=str(ckpt.path) if ckpt is not None else None,
-                )
-                _events.record("sweep.salvage", track="supervisor")
-                _metrics.get_registry().counter(
-                    "focal_salvage_runs_total",
-                    "sweeps salvaged as partial results",
-                ).inc()
-                get_logger().warning(
-                    kv("sweep.salvage", **failure.as_dict())
-                )
+                run.salvage(exc, len(grid), self.chunk_size)
             finally:
-                if session is not None:
-                    session.flush()
-                if plan is not None:
-                    if plan.pool is not None:
-                        plan.pool.shutdown(cancel_futures=True)
-                    plan.release()
-                    if plan.spill_dir is not None:
-                        # The crash transport: anything a dead worker
-                        # flushed but never got to reply with.
-                        _events.get_log().collect_spill(plan.spill_dir)
-                        _events.cleanup_spill_dir(plan.spill_dir)
-                    _parallel.clear_worker_state()
-            self._record_supervision(
-                plan.pool if plan is not None else None, sweep_span
-            )
-            if not designs and failure is None:
-                raise ConfigurationError(
-                    "exploration produced no valid design points"
-                )
-            with tracer.span("classify", points=len(designs)):
-                perf, ncf_fw, ncf_ft = self._ncf_arrays(designs)
-                codes = classify_arrays(ncf_fw, ncf_ft)
-            cache_after = self.cache.stats()
-            stats = self._engine_stats(
-                mode=mode,
-                grid_points=len(grid),
-                valid_points=len(params_list),
-                seconds=time.perf_counter() - start_s,
-                plan=plan,
-                use=use,
-                memo_points=cache_after.hits - cache_before.hits,
-                fresh_points=cache_after.misses - cache_before.misses,
-                quarantined_points=len(quarantined_params),
-                salvaged=failure is not None,
-            )
-            if observing:
-                self._observe_sweep(registry, sweep_span, stats)
+                run.close()
+                object.__setattr__(self, "_cal", None)
+            return self._assemble(run, grid, sweep_span, observing)
+
+    def _plan(
+        self,
+        grid: ParameterGrid,
+        run: _SweepRun,
+        tracer: _trace.Tracer,
+        sweep_span,
+    ) -> "tuple[Iterable, list[_ChunkReuse] | None]":
+        """The plan phase: the grid's chunk stream and, for a pooled
+        sweep, every chunk's reuse, listed up front so that only wholly
+        missing chunks are dispatched (``None`` while streaming — each
+        chunk's reuse is then looked up as it arrives)."""
+        chunks = _chunked(iter(grid), self.chunk_size)
+        if run.mode != "parallel-columnar":
+            return chunks, None
+        chunks = list(chunks)
+        reuses = [run.reuse(index, chunk) for index, chunk in enumerate(chunks)]
+        run.plan = self._parallel_setup(chunks, reuses, grid, run.qsession)
+        if run.plan is None:
+            # No shared backing: the pool cannot run, so the sweep
+            # resolves to the in-process columnar path.
+            object.__setattr__(self, "_active_workers", 0)
+            run.mode = "columnar"
+            sweep_span.set(workers=0, mode=run.mode)
+        else:
+            self._parallel_kernels(run.plan, tracer)
+        return chunks, reuses
+
+    def _fill_missing(
+        self,
+        index: int,
+        chunk: Sequence[Mapping[str, object]],
+        reuse: _ChunkReuse,
+        run: _SweepRun,
+    ) -> None:
+        """The evaluate phase: run only *reuse*'s missing rows through
+        :meth:`_evaluate` and stitch them into its outcomes.
+
+        A wholly missing chunk takes kernel columns already computed
+        for it — the ``workers="auto"`` calibration's (chunk 0) or the
+        pool's block rows — and evaluates exactly as an uncached chunk
+        always did; a partly reused one evaluates its missing rows as
+        their own smaller chunk.
+        """
+        missing = reuse.missing
+        if len(missing) == len(chunk):
+            arrays = self._cal_arrays(index, len(chunk))
+            if arrays is None and run.plan is not None and index in run.plan.planned:
+                arrays = run.plan.chunk_arrays(index, len(chunk))
+            reuse.outcomes = self._evaluate(chunk, run.mode, arrays, run.qsession)
+        elif missing:
+            rows = [chunk[row] for row in missing]
+            fresh = self._evaluate(rows, run.mode, None, run.qsession)
+            for row, outcome in zip(missing, fresh):
+                reuse.outcomes[row] = outcome
+
+    def _assemble(
+        self, run: _SweepRun, grid: ParameterGrid, sweep_span, observing: bool
+    ) -> BatchSweepResult:
+        """The assemble phase: classify the collected designs, publish
+        :attr:`last_sweep` (and telemetry) and build the result."""
+        self._record_supervision(
+            run.plan.pool if run.plan is not None else None, sweep_span
+        )
+        if not run.designs and run.failure is None:
+            raise ConfigurationError("exploration produced no valid design points")
+        with _trace.get_tracer().span("classify", points=len(run.designs)):
+            perf, ncf_fw, ncf_ft = self._ncf_arrays(run.designs)
+            codes = classify_arrays(ncf_fw, ncf_ft)
+        cache_after = self.cache.stats()
+        stats = self._engine_stats(
+            mode=run.mode,
+            grid_points=len(grid),
+            valid_points=len(run.params),
+            seconds=time.perf_counter() - run.start_s,
+            plan=run.plan,
+            use=run.use,
+            memo_points=cache_after.hits - run.cache_before.hits,
+            fresh_points=cache_after.misses - run.cache_before.misses,
+            quarantined_points=len(run.quarantined),
+            salvaged=run.failure is not None,
+        )
+        if observing:
+            self._observe_sweep(_metrics.get_registry(), sweep_span, stats)
         return BatchSweepResult(
-            params=tuple(params_list),
-            designs=tuple(designs),
+            params=tuple(run.params),
+            designs=tuple(run.designs),
             perf=perf,
             ncf_fixed_work=ncf_fw,
             ncf_fixed_time=ncf_ft,
             codes=codes,
-            quarantined=tuple(quarantined_params),
-            failure=failure,
+            quarantined=tuple(run.quarantined),
+            failure=run.failure,
         )
-
-    def _restore_chunk(
-        self,
-        chunk: Sequence[Mapping[str, object]],
-        rows: Sequence[Sequence],
-        store: CheckpointStore,
-    ) -> list[DesignPoint | DomainError]:
-        """Replay one checkpointed chunk without touching the factory.
-
-        Decoded outcomes are written into the cache under the same keys
-        an evaluated chunk would use, so later duplicate points (and the
-        post-sweep cache contents) match an uninterrupted run bit for
-        bit. Counters are not bumped — restored points were neither
-        hits nor fresh evaluations of *this* run.
-        """
-        if len(rows) != len(chunk):
-            raise CheckpointError(
-                f"checkpoint {store.path} records {len(rows)} outcomes "
-                f"for a {len(chunk)}-point chunk; the file does not "
-                "match this grid"
-            )
-        outcomes = decode_outcomes(rows)
-        self.cache.store_many(params_keys(chunk), outcomes)
-        return outcomes
-
-    def _resolve_chunk(
-        self,
-        chunk: Sequence[Mapping[str, object]],
-        index: int,
-        probe: "ChunkProbe | None",
-        plan: "_ParallelPlan | None",
-        mode: str,
-        session: "SweepStoreSession | None",
-        use: "_StoreUse | None",
-        qsession: "QuarantineSession | None" = None,
-    ) -> list[DesignPoint | DomainError]:
-        """Evaluate one non-restored chunk, adopting stored rows.
-
-        A complete store hit replays the decoded outcomes into the
-        cache without bumping its counters — exactly like checkpoint
-        restore, so "fresh evaluations" stays measurable as the cache
-        miss delta. A partial hit evaluates only the missing rows
-        through the mode-appropriate path and stitches. A full miss
-        takes the unmodified fast paths. Every chunk that ran any
-        evaluation is written back to the store.
-        """
-        if probe is not None and probe.complete:
-            outcomes = probe.outcomes
-            self.cache.store_many(params_keys(chunk), outcomes)
-            use.full_chunks += 1
-            use.memory_points += probe.memory_points
-            use.disk_points += probe.disk_points
-            return outcomes
-        if probe is None or not probe.hit_points:
-            if plan is not None and index in plan.planned:
-                outcomes = self._outcomes_from_arrays(
-                    chunk, plan.chunk_arrays(index), qsession
-                )
-            elif mode in COLUMNAR_MODES:
-                cal = self._take_cal_arrays(len(chunk)) if index == 0 else None
-                if cal is not None:
-                    # workers="auto" declined the pool; the calibration
-                    # already ran this chunk's kernels — reuse, don't
-                    # recompute.
-                    outcomes = self._outcomes_from_arrays(chunk, cal)
-                else:
-                    outcomes = self._vector_chunk(chunk)
-            else:
-                outcomes = self._evaluate_chunk(chunk)
-            if session is not None:
-                session.put(chunk, outcomes, probe)
-            return outcomes
-        # Delta stitch: only the rows no earlier sweep stored run fresh.
-        # The columnar kernels are elementwise, so evaluating the
-        # missing subset as its own (smaller) chunk is bit-exact.
-        sub = [chunk[row] for row in probe.missing]
-        if mode in COLUMNAR_MODES:
-            sub_outcomes = self._vector_chunk(sub)
-        else:
-            sub_outcomes = self._evaluate_chunk(sub)
-        outcomes = probe.outcomes
-        for row, outcome in zip(probe.missing, sub_outcomes):
-            outcomes[row] = outcome
-        keys = params_keys(chunk)
-        missing = set(probe.missing)
-        self.cache.store_many(
-            [key for row, key in enumerate(keys) if row not in missing],
-            [out for row, out in enumerate(outcomes) if row not in missing],
-        )
-        use.delta_chunks += 1
-        use.memory_points += probe.memory_points
-        use.disk_points += probe.disk_points
-        session.put(chunk, outcomes, probe)
-        return outcomes
-
-    def _quarantined_chunk(
-        self,
-        chunk: Sequence[Mapping[str, object]],
-        qsession: QuarantineSession,
-        mode: str,
-    ) -> list[DesignPoint | DomainError]:
-        """Evaluate a chunk that contains ledger-known poison points.
-
-        Known-poison rows are replaced by their quarantine markers
-        without ever reaching a factory (re-dispatching one would crash
-        a worker deterministically); the clean remainder runs through
-        the mode-appropriate path as its own smaller chunk, which is
-        bit-exact because the columnar kernels are elementwise.
-        """
-        markers: dict[int, QuarantinedPoint] = {}
-        clean: list[Mapping[str, object]] = []
-        for row, params in enumerate(chunk):
-            marker = qsession.marker(params)
-            if marker is not None:
-                markers[row] = marker
-            else:
-                clean.append(params)
-        clean_outcomes: list = []
-        if clean:
-            if mode in COLUMNAR_MODES:
-                clean_outcomes = self._vector_chunk(clean)
-            else:
-                clean_outcomes = self._evaluate_chunk(clean)
-        outcomes: list[DesignPoint | DomainError] = []
-        fresh = iter(clean_outcomes)
-        for row in range(len(chunk)):
-            outcomes.append(markers[row] if row in markers else next(fresh))
-        keys = params_keys(chunk)
-        self.cache.store_many(
-            [keys[row] for row in markers], list(markers.values())
-        )
-        return outcomes
 
     def _record_supervision(
         self, pool: "ProcessPoolExecutor | SupervisedPool | None", sweep_span
@@ -1798,13 +1688,7 @@ class BatchExplorer:
         if plan is not None and plan.spill_nbytes:
             extras["spill_bytes"] = plan.spill_nbytes
         if use is not None:
-            extras.update(
-                store_used=True,
-                store_chunks=use.full_chunks,
-                delta_chunks=use.delta_chunks,
-                store_memory_points=use.memory_points,
-                store_disk_points=use.disk_points,
-            )
+            extras.update(store_used=True, **asdict(use))
         stats = SweepEngineStats(
             mode=mode,
             grid_points=grid_points,
@@ -2005,14 +1889,16 @@ class BatchExplorer:
         registry = _metrics.get_registry()
         observing = tracer.enabled or registry.enabled
         mode = self._resolve_mode()
-        use_vector = mode == "columnar"
         with tracer.span(
             "sweep.count", grid_points=len(grid), mode=mode
         ) as sweep_span:
             start_s = time.perf_counter()
             cache_before = self.cache.stats()
-            if use_vector:
-                codes_hist, valid = self._count_columnar(grid, tracer)
+            if mode == "columnar":
+                try:
+                    codes_hist, valid = self._count_columnar(grid, tracer)
+                finally:
+                    object.__setattr__(self, "_cal", None)
             else:
                 designs = self._designs_only(grid)
                 valid = len(designs)
@@ -2026,10 +1912,6 @@ class BatchExplorer:
                 raise ConfigurationError(
                     "exploration produced no valid design points"
                 )
-            counts = {
-                category: int(codes_hist[code])
-                for code, category in enumerate(CATEGORIES)
-            }
             cache_after = self.cache.stats()
             stats = self._engine_stats(
                 mode=mode,
@@ -2041,7 +1923,11 @@ class BatchExplorer:
             )
             if observing:
                 self._observe_sweep(registry, sweep_span, stats)
-        return {category: n for category, n in counts.items() if n}
+        return {
+            category: int(codes_hist[code])
+            for code, category in enumerate(CATEGORIES)
+            if codes_hist[code]
+        }
 
     def _count_columnar(
         self, grid: ParameterGrid, tracer: _trace.Tracer
@@ -2051,9 +1937,9 @@ class BatchExplorer:
 
         Axis columns for each chunk are computed straight from the
         cartesian structure (:meth:`_axis_columns`), one chunk at a
-        time, so memory stays bounded by the chunk size.
+        time, so memory stays bounded by the chunk size; chunk 0 reuses
+        the ``workers="auto"`` calibration's columns when it ran.
         """
-        factory = self.factory
         columns_of = self._axis_columns(grid)
         total = len(grid)
         histogram = np.zeros(len(CATEGORIES), dtype=np.int64)
@@ -2061,12 +1947,9 @@ class BatchExplorer:
         for index, start in enumerate(range(0, total, self.chunk_size)):
             with tracer.span("chunk", index=index, mode="columnar") as chunk_span:
                 stop = min(start + self.chunk_size, total)
-                arrays = factory.batch_arrays(columns_of(start, stop))
-                if len(arrays) != stop - start:
-                    raise ConfigurationError(
-                        f"batch_arrays returned {len(arrays)} rows for a "
-                        f"{stop - start}-point chunk"
-                    )
+                arrays = self._cal_arrays(index, stop - start)
+                if arrays is None:
+                    arrays = self._kernel_arrays(columns_of(start, stop), stop - start)
                 mask = arrays.valid
                 area, perf, power = arrays.area, arrays.perf, arrays.power
                 if not mask.all():

@@ -40,12 +40,11 @@ import numpy as np
 from ..core.batch import category_counts, classify_arrays
 from ..core.classify import Sustainability
 from ..core.design import DesignPoint
-from ..core.errors import CheckpointError, ConfigurationError, ValidationError
+from ..core.errors import CheckpointError, ValidationError
 from ..core.scenario import E2OWeight
 from ..obs import events as _events
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
-from ..obs.log import get_logger, kv
 from ..resilience.checkpoint import CheckpointStore
 from ..resilience.policy import RetryPolicy
 from ..resilience.supervisor import SupervisedPool
@@ -88,19 +87,6 @@ class CategoryProbabilities:
         return best[1]
 
 
-def _classified_probabilities(
-    ncf_fw: np.ndarray, ncf_ft: np.ndarray, samples: int
-) -> CategoryProbabilities:
-    """Classify whole sample arrays at once and normalize the histogram.
-
-    One vectorized pass (:func:`~repro.core.batch.classify_arrays` +
-    ``np.bincount``) replaces the former per-sample Python loop; the
-    verdicts are identical because the kernel shares the scalar path's
-    boundary-tolerance arithmetic.
-    """
-    return _probabilities_from_codes(classify_arrays(ncf_fw, ncf_ft), samples)
-
-
 def _probabilities_from_codes(
     codes: np.ndarray, samples: int
 ) -> CategoryProbabilities:
@@ -140,21 +126,6 @@ def _running_mix(
             }
         )
     return rows
-
-
-def _observed_classify(
-    ncf_fw: np.ndarray,
-    ncf_ft: np.ndarray,
-    samples: int,
-    sampler: str,
-    start_s: float,
-    span_,
-    registry: _metrics.MetricsRegistry,
-) -> CategoryProbabilities:
-    """Classify and, when observing, record throughput + convergence."""
-    return _observed_from_codes(
-        classify_arrays(ncf_fw, ncf_ft), samples, sampler, start_s, span_, registry
-    )
 
 
 def _observed_from_codes(
@@ -391,11 +362,9 @@ def _checkpointed_codes(
         raise ValidationError(
             f"checkpoint_every must be >= 1, got {checkpoint_every}"
         )
-    ckpt = CheckpointStore.coerce(checkpoint)
-    if resume and ckpt is None:
-        raise ConfigurationError(
-            "resume=True requires a checkpoint path to resume from"
-        )
+    ckpt, state = CheckpointStore.open(
+        checkpoint, resume=resume, kind="montecarlo", fingerprint=fingerprint
+    )
     result_store = ResultStore.coerce(store)
     segment_fp: dict | None = None
     if result_store is not None:
@@ -410,23 +379,18 @@ def _checkpointed_codes(
     done: list[np.ndarray] = []
     drawn = 0
     reused = 0
-    if ckpt is not None and resume:
-        state = ckpt.load_or_restart(kind="montecarlo", fingerprint=fingerprint)
-        if state is not None:
-            codes = state.get("codes")
-            rng_state = state.get("rng_state")
-            if not isinstance(codes, list) or len(codes) > samples:
-                raise CheckpointError(
-                    f"checkpoint {ckpt.path} records "
-                    f"{len(codes) if isinstance(codes, list) else '?'} codes "
-                    f"for a {samples}-sample run"
-                )
-            if codes:
-                done.append(np.asarray(codes, dtype=np.int8))
-                drawn = len(codes)
-                rng.bit_generator.state = rng_state
-    elif ckpt is not None:
-        ckpt.remove()
+    if state is not None:
+        codes = state.get("codes")
+        if not isinstance(codes, list) or len(codes) > samples:
+            raise CheckpointError(
+                f"checkpoint {ckpt.path} records "
+                f"{len(codes) if isinstance(codes, list) else '?'} codes "
+                f"for a {samples}-sample run"
+            )
+        if codes:
+            done.append(np.asarray(codes, dtype=np.int8))
+            drawn = len(codes)
+            rng.bit_generator.state = state.get("rng_state")
     step = (
         samples if ckpt is None and result_store is None else checkpoint_every
     )
@@ -450,27 +414,12 @@ def _checkpointed_codes(
                 )
         done.append(codes_arr)
         drawn += count
-        if ckpt is not None:
-            try:
-                ckpt.save(
-                    kind="montecarlo",
-                    fingerprint=fingerprint,
-                    state={
-                        "codes": codes_arr.tolist(),
-                        "rng_state": rng.bit_generator.state,
-                    },
-                )
-            except CheckpointError as exc:
-                # A dead checkpoint must not kill a live draw: keep
-                # sampling without persistence.
-                get_logger().warning(
-                    kv(
-                        "checkpoint.disabled",
-                        path=str(ckpt.path),
-                        error=str(exc),
-                    )
-                )
-                ckpt = None
+        if ckpt is not None and not ckpt.save_or_warn(
+            kind="montecarlo",
+            fingerprint=fingerprint,
+            state={"codes": codes_arr.tolist(), "rng_state": rng.bit_generator.state},
+        ):
+            ckpt = None
     return (done[0] if len(done) == 1 else np.concatenate(done)), reused
 
 

@@ -26,6 +26,7 @@ from .trace import Tracer
 __all__ = [
     "SCHEMA",
     "RunManifest",
+    "usable_cpus",
     "node_roster",
     "phase_breakdown",
     "build_manifest",
@@ -38,8 +39,19 @@ __all__ = [
 SCHEMA = "focal-trace/1"
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its scheduler affinity where the
+    platform reports one (a container or ``taskset`` can narrow it well
+    below ``os.cpu_count()``), else the host's CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):  # pragma: no cover - non-Linux
+        return os.cpu_count() or 1
+
+
 def node_roster() -> dict[str, object]:
-    """The machine identity recorded with every manifest."""
+    """The machine identity recorded with every manifest; ``cpu_count``
+    is :func:`usable_cpus`, the parallelism a run could actually get."""
     import numpy
 
     return {
@@ -48,7 +60,7 @@ def node_roster() -> dict[str, object]:
         "machine": platform.machine(),
         "python": platform.python_version(),
         "numpy": numpy.__version__,
-        "cpu_count": os.cpu_count(),
+        "cpu_count": usable_cpus(),
     }
 
 

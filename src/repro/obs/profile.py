@@ -220,7 +220,8 @@ def profile_report(report: dict) -> ProfileReport:
     total = sum(seconds.values()) or 1.0
     shares = {key: value / total for key, value in seconds.items()}
 
-    # Parallelism the host can deliver: workers beyond its CPUs share them.
+    # Parallelism the run could get: workers beyond the CPUs the process
+    # may use (the manifest records usable_cpus()) share them.
     cpus = (report.get("manifest") or {}).get("node", {}).get("cpu_count")
     n_eff = min(n, int(cpus)) if cpus else n
     serial_ideal = serial + sum_shm / n  # shm does not parallel-scale away

@@ -35,7 +35,12 @@ from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from ..core.design import DesignPoint
-from ..core.errors import CheckpointError, DomainError, QuarantinedPoint
+from ..core.errors import (
+    CheckpointError,
+    ConfigurationError,
+    DomainError,
+    QuarantinedPoint,
+)
 from ..obs import metrics as _metrics
 from ..obs.log import get_logger, kv
 
@@ -238,6 +243,31 @@ class CheckpointStore:
             return value
         return cls(value)
 
+    @classmethod
+    def open(
+        cls,
+        value: "CheckpointStore | str | os.PathLike | None",
+        *,
+        resume: bool,
+        kind: str,
+        fingerprint: Mapping | None,
+    ) -> "tuple[CheckpointStore | None, dict | None]":
+        """*value* coerced for one run, with the state to resume from:
+        :meth:`load_or_restart`'s under *resume*, else ``None`` after
+        removing any old journal (the run starts afresh). Resuming
+        without a checkpoint is a :class:`ConfigurationError`."""
+        store = cls.coerce(value)
+        if store is None:
+            if resume:
+                raise ConfigurationError(
+                    "resume=True requires a checkpoint path to resume from"
+                )
+            return None, None
+        if not resume:
+            store.remove()
+            return store, None
+        return store, store.load_or_restart(kind=kind, fingerprint=fingerprint)
+
     def exists(self) -> bool:
         return self.path.exists()
 
@@ -268,6 +298,19 @@ class CheckpointStore:
             raise CheckpointError(
                 f"checkpoint {self.path} could not be written: {exc}"
             ) from exc
+
+    def save_or_warn(self, *, kind: str, fingerprint: Mapping, state: Mapping) -> bool:
+        """:meth:`save`, but a failure is logged and returned as
+        ``False``: a dead checkpoint must not kill a live run, which
+        continues without checkpointing."""
+        try:
+            self.save(kind=kind, fingerprint=fingerprint, state=state)
+        except CheckpointError as exc:
+            get_logger().warning(
+                kv("checkpoint.disabled", path=str(self.path), error=str(exc))
+            )
+            return False
+        return True
 
     # ------------------------------------------------------------------
     # Loading

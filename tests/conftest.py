@@ -3,10 +3,17 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.core.design import DesignPoint
 from repro.core.scenario import EMBODIED_DOMINATED, OPERATIONAL_DOMINATED
 from repro.dse import parallel as _parallel
+
+# Property tests depend only on the checkout: no example database (a
+# stale local counterexample must not steer a run) and derandomized
+# example generation, so every run of a test draws the same examples.
+settings.register_profile("checkout", database=None, derandomize=True)
+settings.load_profile("checkout")
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -138,7 +138,7 @@ class TestCrashConsistency:
 
 def _random_cut_property(name: str):
     @seed(20241014 + len(name))
-    @settings(max_examples=32, deadline=DEADLINE, database=None)
+    @settings(max_examples=32, deadline=DEADLINE)
     @given(position=st.integers(min_value=0, max_value=2**32))
     def check(uninterrupted, tmp_path_factory, position):
         _, root, relative = uninterrupted[name]

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.core.errors import ValidationError
+from repro.obs.manifest import node_roster
 from repro.obs.profile import CATEGORIES, profile_report, render_profile
 
 
@@ -126,6 +129,22 @@ class TestProfileReport:
         profile = profile_report(report)
         assert profile.achieved_speedup_estimate == pytest.approx(2.0)
         assert profile.amdahl_attainable <= 2.0
+
+    def test_manifest_and_cap_use_the_cpus_the_process_may_use(self, monkeypatch):
+        # Pinned to one CPU of a larger host: the manifest records the
+        # one usable CPU and the estimate cannot exceed it.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        node = node_roster()
+        assert node["cpu_count"] == 1
+        report = _report(
+            [_shard(w, 0.2, 0.6, compute=0.6) for w in (1, 2, 3, 4)],
+            workers=4,
+        )
+        report["manifest"]["node"] = node
+        profile = profile_report(report)
+        assert profile.achieved_speedup_estimate == pytest.approx(1.0)
+        assert profile.amdahl_attainable <= 1.0
 
     def test_requires_a_trace_report(self):
         with pytest.raises(ValidationError):

@@ -150,7 +150,7 @@ class TestCrashConsistency:
 
 def _random_cut_property(name: str):
     @seed(20240427 + len(name))
-    @settings(max_examples=32, deadline=DEADLINE, database=None)
+    @settings(max_examples=32, deadline=DEADLINE)
     @given(position=st.integers(min_value=0, max_value=2**32))
     def check(uninterrupted, tmp_path_factory, position):
         _, journal = uninterrupted[name]
