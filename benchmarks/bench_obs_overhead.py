@@ -19,13 +19,20 @@ Numerical parity is asserted at both operating points — instrumented
 results (traced or not, and under injected worker faults) are
 bit-identical to the uninstrumented engine. The module writes
 ``BENCH_obs.json`` at the repo root and **gates** the
-disabled-instrumentation overhead at < 5% for both operating points
-(on min-of-rounds timings, the noise-robust estimator).
+disabled-instrumentation overhead at < 5% for both operating points.
+
+Each gate is a paired measurement: every round times the baseline and
+the shipped path back to back (which goes first alternates), each
+timing repeats its call until it lasts at least ``MIN_TIMING_S``, and
+the gated figure is the median over rounds of the per-round ratio. A
+slow phase of a shared host then hits both sides of a pair instead of
+one side of a min-of-rounds comparison.
 """
 
 from __future__ import annotations
 
 import json
+import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
 from itertools import product
@@ -68,7 +75,11 @@ PARALLEL_GRID = ParameterGrid(
 PARALLEL_WORKERS = 2
 PARALLEL_CHUNK = 512
 PARALLEL_ITERS = 500
-PARALLEL_ROUNDS = 7
+
+#: Paired timing: rounds per comparison, and the least wall time one
+#: timing (a block of repeated calls) may last.
+ROUNDS = 21
+MIN_TIMING_S = 0.1
 
 TRAJECTORY_PATH = Path(__file__).resolve().parent.parent / "BENCH_obs.json"
 
@@ -84,7 +95,8 @@ _RESULTS: dict[str, object] = {
         "'disabled' is the shipped path with obs off, 'enabled' with "
         "tracing + metrics on; 'parallel_*' keys time the shipped "
         "eval_shard against its pre-telemetry form on one shared pool; "
-        "gate applies to min-of-rounds timings"
+        "*_s keys are per-call medians and overhead_* keys the median "
+        "per-round ratio of paired, alternating timings"
     ),
 }
 
@@ -146,57 +158,56 @@ def explorer():
     obs_metrics.reset()
 
 
-def _best_of(fn, rounds: int = 5) -> float:
-    best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
+def _paired(plain, shipped, rounds: int = ROUNDS) -> dict[str, float]:
+    """Time *plain* and *shipped* back to back in every round.
+
+    Both sides of a round repeat their call the same number of times,
+    enough for a *plain* block to last ``MIN_TIMING_S``; the side that
+    goes first alternates between rounds. Returns the per-call medians
+    and ``overhead``, the median per-round ``shipped / plain`` ratio
+    minus one.
+    """
+    once = min(_timed(plain, 1) for _ in range(3))
+    reps = max(1, -int(-MIN_TIMING_S // max(once, 1e-9)))
+    plain_s: list[float] = []
+    shipped_s: list[float] = []
+    for index in range(rounds):
+        if index % 2:
+            shipped_s.append(_timed(shipped, reps))
+            plain_s.append(_timed(plain, reps))
+        else:
+            plain_s.append(_timed(plain, reps))
+            shipped_s.append(_timed(shipped, reps))
+    ratios = [s / p for s, p in zip(shipped_s, plain_s)]
+    return {
+        "plain_s": statistics.median(plain_s) / reps,
+        "shipped_s": statistics.median(shipped_s) / reps,
+        "overhead": statistics.median(ratios) - 1.0,
+        "calls_per_timing": reps,
+    }
+
+
+def _timed(fn, reps: int) -> float:
+    begin = time.perf_counter()
+    for _ in range(reps):
         fn()
-        best = min(best, time.perf_counter() - start)
-    return best
+    return time.perf_counter() - begin
 
 
-def _record(key: str, benchmark, fallback) -> None:
-    """Store mean + min runtimes; time by hand on --benchmark-disable."""
-    try:
-        _RESULTS[f"{key}_mean_s"] = float(benchmark.stats.stats.mean)
-        _RESULTS[f"{key}_min_s"] = float(benchmark.stats.stats.min)
-    except (AttributeError, TypeError):
-        best = _best_of(fallback)
-        _RESULTS[f"{key}_mean_s"] = best
-        _RESULTS[f"{key}_min_s"] = best
+def _gate(key: str, label: str, pair: dict[str, float]) -> None:
+    overhead = pair["overhead"]
+    _RESULTS[key] = overhead
+    assert overhead < OVERHEAD_GATE, (
+        f"{label} overhead {overhead:.2%} (median of {ROUNDS} paired "
+        f"rounds) exceeds the {OVERHEAD_GATE:.0%} gate"
+    )
 
 
 @pytest.fixture(scope="module", autouse=True)
 def write_trajectory():
-    """Emit BENCH_obs.json and enforce the overhead gates at the end."""
+    """Emit BENCH_obs.json once every timing has run."""
     yield
-    for key, slow, fast in (
-        ("overhead_disabled", "disabled_min_s", "uninstrumented_min_s"),
-        ("overhead_enabled", "enabled_min_s", "uninstrumented_min_s"),
-        (
-            "overhead_parallel_disabled",
-            "parallel_disabled_min_s",
-            "parallel_uninstrumented_min_s",
-        ),
-        (
-            "overhead_parallel_enabled",
-            "parallel_enabled_min_s",
-            "parallel_uninstrumented_min_s",
-        ),
-    ):
-        if slow in _RESULTS and fast in _RESULTS:
-            _RESULTS[key] = float(_RESULTS[slow]) / float(_RESULTS[fast]) - 1.0
     TRAJECTORY_PATH.write_text(json.dumps(_RESULTS, indent=2, default=str) + "\n")
-    for gate_key, label in (
-        ("overhead_disabled", "disabled-instrumentation"),
-        ("overhead_parallel_disabled", "parallel disabled-instrumentation"),
-    ):
-        overhead = _RESULTS.get(gate_key)
-        if overhead is not None:
-            assert overhead < OVERHEAD_GATE, (
-                f"{label} overhead {overhead:.2%} exceeds "
-                f"the {OVERHEAD_GATE:.0%} gate (see {TRAJECTORY_PATH.name})"
-            )
 
 
 def test_parity_instrumented_vs_uninstrumented(explorer, emit):
@@ -225,37 +236,48 @@ def _counts_str(counts) -> str:
     return ", ".join(f"{cat.value}={n}" for cat, n in counts.items())
 
 
-def test_resweep_uninstrumented(benchmark, explorer, emit):
-    run = lambda: uninstrumented_count_categories(explorer, GRID)
-    counts = benchmark(run)
-    _record("uninstrumented", benchmark, run)
-    assert sum(counts.values()) == len(GRID)
-    emit(f"uninstrumented warm re-sweep: {_RESULTS['uninstrumented_min_s'] * 1e3:.2f} ms (min)")
-
-
-def test_resweep_instrumentation_disabled(benchmark, explorer, emit):
+def test_resweep_overhead_disabled(benchmark, explorer, emit):
+    """Gate: with tracing and metrics off, the shipped warm re-sweep
+    costs < 5% over the pre-observability path."""
     assert not obs_trace.is_enabled()
     assert not obs_metrics.get_registry().enabled
-    run = lambda: explorer.count_categories(GRID)
-    counts = benchmark(run)
-    _record("disabled", benchmark, run)
-    assert sum(counts.values()) == len(GRID)
-    emit(f"instrumented (disabled) re-sweep: {_RESULTS['disabled_min_s'] * 1e3:.2f} ms (min)")
+    plain = lambda: uninstrumented_count_categories(explorer, GRID)
+    shipped = lambda: explorer.count_categories(GRID)
+    assert sum(shipped().values()) == len(GRID)
+    pair = benchmark.pedantic(_paired, args=(plain, shipped), rounds=1, iterations=1)
+    _RESULTS["uninstrumented_s"] = pair["plain_s"]
+    _RESULTS["disabled_s"] = pair["shipped_s"]
+    emit(
+        f"warm re-sweep: uninstrumented {pair['plain_s'] * 1e3:.2f} ms, "
+        f"instrumented (disabled) {pair['shipped_s'] * 1e3:.2f} ms, "
+        f"overhead {pair['overhead']:+.2%} (median of {ROUNDS} pairs, "
+        f"{pair['calls_per_timing']} calls per timing)"
+    )
+    _gate("overhead_disabled", "disabled-instrumentation", pair)
 
 
 def test_resweep_instrumentation_enabled(benchmark, explorer, emit):
+    """The same pairing with tracing + metrics recording — priced in
+    the trajectory, not gated (tracing is opt-in)."""
+    plain = lambda: uninstrumented_count_categories(explorer, GRID)
     obs_trace.enable()
     obs_metrics.enable()
     tracer = obs_trace.get_tracer()
     try:
-        run = lambda: (tracer.clear(), explorer.count_categories(GRID))[1]
-        counts = benchmark(run)
-        _record("enabled", benchmark, run)
+        shipped = lambda: (tracer.clear(), explorer.count_categories(GRID))[1]
+        assert sum(shipped().values()) == len(GRID)
+        pair = benchmark.pedantic(
+            _paired, args=(plain, shipped), rounds=1, iterations=1
+        )
     finally:
         obs_trace.reset()
         obs_metrics.reset()
-    assert sum(counts.values()) == len(GRID)
-    emit(f"instrumented (enabled) re-sweep: {_RESULTS['enabled_min_s'] * 1e3:.2f} ms (min)")
+    _RESULTS["enabled_s"] = pair["shipped_s"]
+    _RESULTS["overhead_enabled"] = pair["overhead"]
+    emit(
+        f"instrumented (enabled) re-sweep: {pair['shipped_s'] * 1e3:.2f} ms, "
+        f"overhead {pair['overhead']:+.2%}"
+    )
 
 
 # ----------------------------------------------------------------------
@@ -327,53 +349,59 @@ def _drain(pool, fn, jobs) -> list:
     return list(pool.map(fn, jobs))
 
 
-def test_parallel_shard_overhead_disabled(parallel_rig, emit):
-    """Gate: with capture off, the shipped eval_shard must match its
-    pre-telemetry form. Rounds interleave the two kernels on the same
-    pool so scheduler drift hits both timings equally."""
+def test_parallel_shard_overhead_disabled(benchmark, parallel_rig, emit):
+    """Gate: with capture off, the shipped eval_shard costs < 5% over
+    its pre-telemetry form, both timed on the same pool."""
     pool, jobs = parallel_rig
-    _drain(pool, parallel.eval_shard, jobs)  # warm the pool
-    best_plain = best_shipped = float("inf")
-    for _ in range(PARALLEL_ROUNDS):
-        begin = time.perf_counter()
-        _drain(pool, uninstrumented_eval_shard, jobs)
-        best_plain = min(best_plain, time.perf_counter() - begin)
-        begin = time.perf_counter()
-        replies = _drain(pool, parallel.eval_shard, jobs)
-        best_shipped = min(best_shipped, time.perf_counter() - begin)
+    replies = _drain(pool, parallel.eval_shard, jobs)  # warm the pool
     assert all(events is None for *_, events in replies)  # capture is off
-    _RESULTS["parallel_uninstrumented_min_s"] = best_plain
-    _RESULTS["parallel_disabled_min_s"] = best_shipped
+    pair = benchmark.pedantic(
+        _paired,
+        args=(
+            lambda: _drain(pool, uninstrumented_eval_shard, jobs),
+            lambda: _drain(pool, parallel.eval_shard, jobs),
+        ),
+        rounds=1,
+        iterations=1,
+    )
+    _RESULTS["parallel_uninstrumented_s"] = pair["plain_s"]
+    _RESULTS["parallel_disabled_s"] = pair["shipped_s"]
     emit(
         f"parallel shards ({len(jobs)} shards x {len(PARALLEL_GRID)} pts): "
-        f"pre-telemetry {best_plain * 1e3:.2f} ms, "
-        f"shipped (capture off) {best_shipped * 1e3:.2f} ms (min of "
-        f"{PARALLEL_ROUNDS})"
+        f"pre-telemetry {pair['plain_s'] * 1e3:.2f} ms, shipped (capture "
+        f"off) {pair['shipped_s'] * 1e3:.2f} ms, overhead "
+        f"{pair['overhead']:+.2%} (median of {ROUNDS} pairs)"
     )
+    _gate("overhead_parallel_disabled", "parallel disabled-instrumentation", pair)
 
 
-def test_parallel_shard_capture_enabled(emit):
-    """The same shard pass with worker-event capture armed — recorded
-    in the trajectory (no gate: capture is opt-in, priced here)."""
+def test_parallel_shard_capture_enabled(benchmark, emit):
+    """The same pairing with worker-event capture armed — priced in the
+    trajectory, not gated (capture is opt-in)."""
     factory = IterativeFixedPointFactory(iters=PARALLEL_ITERS)
     jobs = _shard_jobs(PARALLEL_GRID, PARALLEL_CHUNK, PARALLEL_WORKERS)
     pool, block, arena = _columnar_pool(factory, PARALLEL_GRID, capture=True)
     try:
-        _drain(pool, parallel.eval_shard, jobs)  # warm the pool
-        best = float("inf")
-        for _ in range(PARALLEL_ROUNDS):
-            begin = time.perf_counter()
-            replies = _drain(pool, parallel.eval_shard, jobs)
-            best = min(best, time.perf_counter() - begin)
+        replies = _drain(pool, parallel.eval_shard, jobs)  # warm the pool
+        assert all(events for *_, events in replies)  # every shard reported
+        pair = benchmark.pedantic(
+            _paired,
+            args=(
+                lambda: _drain(pool, uninstrumented_eval_shard, jobs),
+                lambda: _drain(pool, parallel.eval_shard, jobs),
+            ),
+            rounds=1,
+            iterations=1,
+        )
     finally:
         pool.shutdown()
         block.release()
         arena.release()
-    assert all(events for *_, events in replies)  # every shard reported
-    _RESULTS["parallel_enabled_min_s"] = best
+    _RESULTS["parallel_enabled_s"] = pair["shipped_s"]
+    _RESULTS["overhead_parallel_enabled"] = pair["overhead"]
     emit(
-        f"parallel shards (capture on): {best * 1e3:.2f} ms (min of "
-        f"{PARALLEL_ROUNDS})"
+        f"parallel shards (capture on): {pair['shipped_s'] * 1e3:.2f} ms, "
+        f"overhead {pair['overhead']:+.2%}"
     )
 
 

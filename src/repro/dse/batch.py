@@ -106,7 +106,6 @@ from ..resilience.containment import (
     INCOMPLETE,
     BisectOutcome,
     FailureReport,
-    HeartbeatMonitor,
     QuarantineLedger,
     QuarantineSession,
 )
@@ -344,7 +343,7 @@ class _ParallelPlan:
         pool,
         spans: list[tuple[int, int]],
         planned: set[int],
-        spill_dir: str | None = None,
+        event_dir: str | None = None,
         arena: "_parallel.GridArena | None" = None,
     ) -> None:
         self.chunk_size = chunk_size
@@ -360,16 +359,13 @@ class _ParallelPlan:
         self.failed: set[int] = set()
         #: Crash-spill directory for worker events (None when telemetry
         #: is off) — collected and removed when the sweep winds down.
-        self.spill_dir = spill_dir
+        self.event_dir = event_dir
         #: The published input-grid columns (None when nothing is
         #: dispatched).
         self.arena = arena
         #: Captured at setup — the segments are released before stats
         #: are cut.
         self.shm_bytes = block.nbytes + (arena.nbytes if arena else 0)
-        self.spill_nbytes = block.spill_nbytes + (
-            arena.spill_nbytes if arena else 0
-        )
         self.kernel_wall = 0.0
         self.busy = 0.0
         #: The largest and the smallest (tail) dispatched span, in points.
@@ -391,9 +387,9 @@ class _ParallelPlan:
         self.block.release()
         if self.arena is not None:
             self.arena.release()
-        if self.spill_dir is not None:
-            _events.get_log().collect_spill(self.spill_dir)
-            _events.cleanup_spill_dir(self.spill_dir)
+        if self.event_dir is not None:
+            _events.get_log().collect_spill(self.event_dir)
+            _events.remove_event_dir(self.event_dir)
         _parallel.clear_worker_state()
 
 
@@ -692,11 +688,8 @@ class SweepEngineStats:
     shard_points: int = 0
     shm_bytes: int = 0
     worker_utilization: float = 0.0
-    #: The smallest dispatched shard in grid points (the steal tail),
-    #: and spill-file bytes backing the sweep's segments (0 unless
-    #: out-of-core).
+    #: The smallest dispatched shard in grid points (the steal tail).
     tail_shard_points: int = 0
-    spill_bytes: int = 0
     #: True when ``workers="auto"`` resolved this sweep's worker count
     #: (``workers`` then records the calibrated choice).
     auto_workers: bool = False
@@ -750,8 +743,6 @@ class SweepEngineStats:
                 f"x {self.workers} workers, "
                 f"{self.worker_utilization:.0%} kernel utilization"
             )
-        if self.spill_bytes:
-            line += f", {self.spill_bytes / 1e6:.1f} MB spilled"
         if self.fallback_points:
             line += f", {self.fallback_points} scalar-fallback pts"
         if self.store_used:
@@ -793,8 +784,6 @@ class SweepEngineStats:
                 worker_utilization=self.worker_utilization,
                 tail_shard_points=self.tail_shard_points,
             )
-        if self.spill_bytes:
-            payload["spill_bytes"] = self.spill_bytes
         if self.store_used:
             payload.update(
                 store_chunks=self.store_chunks,
@@ -891,7 +880,7 @@ class BatchExplorer:
         shrinking chunk-aligned shards, one executor future each, so
         idle workers pull the next shard off the shared call queue.
         Every other sweep — warm or half-warm cache, scalar-only
-        factory, non-numeric axis, or no shared-memory/spill backing —
+        factory, non-numeric axis, or no shared-memory backing —
         resolves to 0 and runs in-process; ``last_sweep.workers``
         reports the resolved count. The string ``"auto"`` calibrates
         instead of guessing: the first chunk is timed in-process and
@@ -900,15 +889,6 @@ class BatchExplorer:
         columnar ``workers=0`` path — never slower than serial by
         construction). The calibration chunk's arrays are reused, so
         auto costs no extra kernel work on the sweep it serves.
-    spill_dir, spill_bytes:
-        Out-of-core policy. When ``spill_bytes`` is set, any shared
-        sweep segment (result block, resident grid columns) at or above
-        that many bytes is backed by a ``numpy.memmap``-style file
-        instead of shared memory; a bare ``spill_dir`` (threshold
-        unset) spills every segment. Files land under ``spill_dir``
-        (a temp dir when only the threshold is given) and are removed
-        when the sweep winds down. Results are byte-identical to the
-        in-RAM path.
     cache:
         A :class:`FactoryCache` to (re)use; by default a private one is
         created, so repeated sweeps — ``subgrid`` pins, tornado runs —
@@ -929,8 +909,6 @@ class BatchExplorer:
     workers: int | str = 0
     cache: FactoryCache = field(default=None)  # type: ignore[assignment]
     resilience: RetryPolicy | None = None
-    spill_dir: str | os.PathLike | None = None
-    spill_bytes: int | None = None
     #: Engine execution snapshot of the most recent sweep (set by
     #: explore_arrays/count_categories; None before the first sweep).
     last_sweep: SweepEngineStats | None = field(
@@ -965,10 +943,6 @@ class BatchExplorer:
                 )
         elif self.workers < 0:
             raise ValidationError(f"workers must be >= 0, got {self.workers}")
-        if self.spill_bytes is not None and self.spill_bytes < 0:
-            raise ValidationError(
-                f"spill_bytes must be >= 0, got {self.spill_bytes}"
-            )
         if self.cache is None:
             object.__setattr__(self, "cache", FactoryCache(self.factory))
 
@@ -1193,9 +1167,8 @@ class BatchExplorer:
         block: "_parallel.ColumnarBlock",
         arena: "_parallel.GridArena",
         capture: bool,
-        spill: "str | None",
+        event_dir: "str | None",
         quarantine: "QuarantineSession | None",
-        scratch_dir: "str | None",
     ) -> "ProcessPoolExecutor | SupervisedPool":
         """A worker pool whose initializer attaches every worker to the
         sweep's result block and grid arena once.
@@ -1207,9 +1180,7 @@ class BatchExplorer:
         processes would. With *capture* the parent's own event buffer
         is armed too (no spill — the parent cannot crash out from under
         itself), so degraded in-process shards leave the same timeline
-        events a worker would; workers spill to *spill*. *scratch_dir*
-        (out-of-core sweeps) roots the heartbeat watchdog's files under
-        the sweep's spill dir.
+        events a worker would; workers spill to *event_dir*.
         """
         _parallel.set_worker_state(self.factory, block, arena)
         _events.init_worker(capture, None)
@@ -1219,22 +1190,15 @@ class BatchExplorer:
             block.total,
             (arena.name, arena.layout, arena.total),
             capture,
-            spill,
+            event_dir,
         )
         if self.resilience is not None:
-            monitor = None
-            if (
-                scratch_dir is not None
-                and self.resilience.heartbeat_timeout_s is not None
-            ):
-                monitor = HeartbeatMonitor(base_dir=scratch_dir)
             return SupervisedPool(
                 self._pool_workers,
                 self.resilience,
                 initializer=_parallel.init_columnar_worker,
                 initargs=initargs,
                 quarantine=quarantine,
-                monitor=monitor,
             )
         return ProcessPoolExecutor(
             max_workers=self._pool_workers,
@@ -1291,8 +1255,7 @@ class BatchExplorer:
         no pool at all.
         """
         total = sum(len(chunk) for chunk in chunks)
-        spill_kw = dict(spill_dir=self.spill_dir, spill_bytes=self.spill_bytes)
-        block = _parallel.ColumnarBlock.allocate(total, **spill_kw)
+        block = _parallel.ColumnarBlock.allocate(total)
         if block is None:
             return None
         planned = {
@@ -1310,21 +1273,18 @@ class BatchExplorer:
             else:
                 runs.append((lo, hi))
         spans = _parallel.plan_steal_runs(runs, self.chunk_size, self._pool_workers)
-        arena = pool = spill = None
+        arena = pool = event_dir = None
         if spans:
-            arena = _parallel.GridArena.publish(
-                self._axis_columns(grid)(0, total), **spill_kw
-            )
+            arena = _parallel.GridArena.publish(self._axis_columns(grid)(0, total))
             if arena is None:
                 block.release()
                 return None
             capture = _events.get_log().enabled
-            scratch = (
-                os.fspath(self.spill_dir) if self.spill_dir is not None else None
-            )
-            spill = _events.make_spill_dir(base=scratch) if capture else None
-            pool = self._make_pool(block, arena, capture, spill, qsession, scratch)
-        return _ParallelPlan(self.chunk_size, block, pool, spans, planned, spill, arena)
+            event_dir = _events.make_event_dir() if capture else None
+            pool = self._make_pool(block, arena, capture, event_dir, qsession)
+        return _ParallelPlan(
+            self.chunk_size, block, pool, spans, planned, event_dir, arena
+        )
 
     def _parallel_kernels(
         self, plan: _ParallelPlan, tracer: _trace.Tracer
@@ -1351,7 +1311,6 @@ class BatchExplorer:
             shard_points=plan.shard_points,
             workers=self._pool_workers,
             shm_bytes=plan.shm_bytes,
-            spill_bytes=plan.spill_nbytes,
         ):
             begin = time.perf_counter()
             if isinstance(plan.pool, SupervisedPool):
@@ -1685,8 +1644,6 @@ class BatchExplorer:
                 ),
                 tail_shard_points=plan.tail_shard_points,
             )
-        if plan is not None and plan.spill_nbytes:
-            extras["spill_bytes"] = plan.spill_nbytes
         if use is not None:
             extras.update(store_used=True, **asdict(use))
         stats = SweepEngineStats(
@@ -1779,7 +1736,7 @@ class BatchExplorer:
                 registry.gauge(
                     "focal_parallel_shm_bytes",
                     "shared-memory bytes backing the last parallel-columnar "
-                    "sweep (0 = spilled to files)",
+                    "sweep",
                 ).set(engine.shm_bytes)
                 registry.gauge(
                     "focal_parallel_worker_utilization",
@@ -1796,11 +1753,6 @@ class BatchExplorer:
                     "smallest (tail) shard of the last work-stealing "
                     "sweep, in grid points",
                 ).set(engine.tail_shard_points)
-            registry.gauge(
-                "focal_spill_bytes",
-                "spill-file bytes backing the last sweep's shared "
-                "segments (0 = fully in-RAM)",
-            ).set(engine.spill_bytes)
             if engine.store_used:
                 registry.counter(
                     "focal_store_sweep_points_total",

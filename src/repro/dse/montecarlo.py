@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -42,13 +41,9 @@ from ..core.classify import Sustainability
 from ..core.design import DesignPoint
 from ..core.errors import CheckpointError, ValidationError
 from ..core.scenario import E2OWeight
-from ..obs import events as _events
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
 from ..resilience.checkpoint import CheckpointStore
-from ..resilience.policy import RetryPolicy
-from ..resilience.supervisor import SupervisedPool
-from . import parallel as _parallel
 from .store import ResultStore
 
 __all__ = [
@@ -167,169 +162,8 @@ def _point_fields(point: DesignPoint) -> dict:
     }
 
 
-#: Smallest sample span the guided scheduler will dispatch — keeps the
-#: shrinking tail from degenerating into single-sample futures.
-_MC_MIN_SPAN = 64
-
-
-def _mc_spans(count: int, workers: int) -> list[tuple[int, int]]:
-    """Contiguous ``[lo, hi)`` spans splitting *count* samples across a
-    pool with guided (geometric) sizing — the same policy the sweep
-    engine's work-stealing planner uses: early spans are big (low
-    dispatch overhead while every worker is busy), later spans shrink
-    so the tail rebalances across whichever workers free up first.
-
-    Safe for both samplers at any partition: verdict shards position
-    their generators per span with ``advance``, and noise shards
-    receive parent-drawn noise slices, so the concatenated codes are
-    byte-identical to the serial draw regardless of span geometry.
-    """
-    spans: list[tuple[int, int]] = []
-    lo = 0
-    while lo < count:
-        remaining = count - lo
-        take = max(
-            _MC_MIN_SPAN,
-            remaining // (max(1, workers) * _parallel.STEAL_FACTOR),
-        )
-        hi = min(count, lo + take)
-        spans.append((lo, hi))
-        lo = hi
-    return spans
-
-
-def _verdict_shard(job: tuple) -> np.ndarray:
-    """Worker-side draw+classify for one ``sample_verdicts`` shard.
-
-    The shard's generator is positioned on the run's single logical
-    stream with ``bit_generator.advance`` — each uniform double
-    consumes exactly one PCG64 state step, so a shard starting at
-    sample *start* advances by *start* and then draws its own span.
-    The concatenated shard codes are byte-identical to one sequential
-    draw. (A degenerate band, ``hi == lo``, consumes no states at all.)
-    """
-    seed, start, count, lo, hi, area, energy, power = job
-    buf = _events.get_buffer()
-    t0 = buf.now() if buf.enabled else 0.0
-    if hi > lo:
-        rng = np.random.default_rng(seed)
-        rng.bit_generator.advance(start)
-        alphas = rng.uniform(lo, hi, size=count)
-    else:
-        alphas = np.full(count, lo)
-    ncf_fw = alphas * area + (1.0 - alphas) * energy
-    ncf_ft = alphas * area + (1.0 - alphas) * power
-    codes = classify_arrays(ncf_fw, ncf_ft)
-    if buf.enabled:
-        # Spill-only transport: the reply stays a bare codes array so
-        # checkpointed streams remain bit-exact at any worker count.
-        buf.add(
-            "mc.shard",
-            start=t0,
-            dur_s=buf.now() - t0,
-            sampler="sample_verdicts",
-            samples=count,
-        )
-        buf.drain()
-    return codes
-
-
-def _noise_shard(job: tuple) -> np.ndarray:
-    """Worker-side classify for one ``sample_measurement_noise`` shard.
-
-    Lognormal draws go through the ziggurat algorithm, whose state
-    consumption is data-dependent — ``advance`` cannot position a
-    shard on the stream. The parent therefore draws the noise
-    sequentially (bit-identical to the serial path by construction)
-    and ships each shard's noise columns here for the NCF + classify
-    arithmetic.
-    """
-    noise, alpha, area_ratio, energy_ratio, power_ratio = job
-    buf = _events.get_buffer()
-    t0 = buf.now() if buf.enabled else 0.0
-    area = area_ratio * noise[:, 0]
-    energy = energy_ratio * noise[:, 1]
-    power = power_ratio * noise[:, 2]
-    ncf_fw = alpha * area + (1.0 - alpha) * energy
-    ncf_ft = alpha * area + (1.0 - alpha) * power
-    codes = classify_arrays(ncf_fw, ncf_ft)
-    if buf.enabled:
-        buf.add(
-            "mc.shard",
-            start=t0,
-            dur_s=buf.now() - t0,
-            sampler="sample_measurement_noise",
-            samples=int(noise.shape[0]),
-        )
-        buf.drain()
-    return codes
-
-
-def _mc_pool(
-    workers: int, resilience: RetryPolicy | None = None
-) -> tuple["ProcessPoolExecutor | SupervisedPool | None", str | None]:
-    """A sampler worker pool plus its event spill directory.
-
-    ``(None, None)`` for serial runs. When the global event log is
-    collecting, workers are armed through the pool initializer and
-    their ``mc.shard`` events travel exclusively via the spill files —
-    the reply arrays are untouched, keeping checkpoint streams
-    bit-exact at any worker count.
-
-    With a *resilience* policy the pool is a
-    :class:`~repro.resilience.supervisor.SupervisedPool`: crashed or
-    hung shard draws walk the same retry/respawn/degrade ladder sweeps
-    use, and because shard jobs carry their own stream positions the
-    recovered codes are byte-identical to the unfaulted run.
-    """
-    if not workers:
-        return None, None
-    capture = _events.get_log().enabled
-    spill = _events.make_spill_dir() if capture else None
-    if resilience is not None:
-        return (
-            SupervisedPool(
-                workers,
-                resilience,
-                initializer=_events.init_worker,
-                initargs=(capture, spill),
-            ),
-            spill,
-        )
-    pool = ProcessPoolExecutor(
-        max_workers=workers,
-        initializer=_events.init_worker,
-        initargs=(capture, spill),
-    )
-    return pool, spill
-
-
-def _mc_map(pool, fn: Callable, jobs: list) -> list:
-    """Shard fan-out on either pool flavour, preserving job order.
-
-    Supervised pools dispatch one shard per future, so the executor's
-    shared call queue doubles as the steal queue: an idle worker picks
-    up the next pending shard the moment it finishes its own, matching
-    the sweep engine's work-stealing scheduler.
-    """
-    if isinstance(pool, SupervisedPool):
-        return pool.run(fn, jobs)
-    return list(pool.map(fn, jobs))
-
-
-def _mc_wind_down(
-    pool: "ProcessPoolExecutor | SupervisedPool | None", spill: str | None
-) -> None:
-    """Reap the sampler pool, then harvest and remove its spill files."""
-    if pool is not None:
-        pool.shutdown(cancel_futures=True)
-    if spill is not None:
-        _events.get_log().collect_spill(spill)
-        _events.cleanup_spill_dir(spill)
-
-
 def _checkpointed_codes(
-    draw: Callable[[np.random.Generator, int, int], np.ndarray],
+    draw: Callable[[np.random.Generator, int], np.ndarray],
     *,
     samples: int,
     seed: int,
@@ -341,13 +175,12 @@ def _checkpointed_codes(
 ) -> tuple[np.ndarray, int]:
     """Draw+classify *samples* codes, chunk-checkpointing the stream.
 
-    ``draw(rng, start, n)`` consumes exactly the generator variates an
-    uninterrupted run would for samples ``[start, start + n)`` and
-    returns their classification codes (*start* lets parallel draws
-    position independent generators on the stream). Without a
-    checkpoint or store the whole range is one draw; otherwise the
-    stream advances ``checkpoint_every`` samples at a time, persisting
-    codes + RNG state after each chunk. Either way the concatenated
+    ``draw(rng, n)`` consumes exactly the generator variates an
+    uninterrupted run would for the next *n* samples and returns their
+    classification codes. Without a checkpoint or store the whole
+    range is one draw; otherwise the stream advances
+    ``checkpoint_every`` samples at a time, persisting codes + RNG
+    state after each chunk. Either way the concatenated
     codes are identical — NumPy ``Generator`` streams do not depend on
     how the draw is split.
 
@@ -406,7 +239,7 @@ def _checkpointed_codes(
             rng.bit_generator.state = rng_state
             reused += count
         else:
-            codes_arr = draw(rng, drawn, count)
+            codes_arr = draw(rng, count)
             if result_store is not None:
                 result_store.save_segment(
                     segment_fp, drawn, count, codes_arr,
@@ -430,46 +263,30 @@ def sample_verdicts(
     *,
     samples: int = 10_000,
     seed: int = 0,
-    workers: int = 0,
     checkpoint: "CheckpointStore | str | os.PathLike | None" = None,
     resume: bool = False,
     checkpoint_every: int = 4096,
     store: "ResultStore | str | os.PathLike | None" = None,
-    resilience: RetryPolicy | None = None,
 ) -> CategoryProbabilities:
     """Sample alpha uniformly over the weight band and classify.
 
     For a fixed design pair the verdict only depends on alpha through
     the two NCF values, so this directly measures how often the
-    conclusion would flip within the uncertainty band.
-
-    With ``workers > 0`` the draw fans out over a process pool in
-    contiguous sample spans: each shard positions an independent
-    generator on the run's single logical stream via
-    ``bit_generator.advance`` (uniform doubles consume one PCG64 state
-    each), so the concatenated codes — and hence the probabilities —
-    are byte-identical to the serial run. ``workers`` is deliberately
-    absent from the checkpoint fingerprint: a checkpoint written at any
-    worker count resumes at any other.
+    conclusion would flip within the uncertainty band. The draw runs
+    in-process.
 
     ``checkpoint``/``resume``/``checkpoint_every`` enable crash-safe
     chunked sampling, and ``store`` persistent cross-run segment reuse
     (see the module docs); results are bit-identical with or without
-    them. A ``resilience`` policy supervises the shard pool (crash
-    retry, heartbeat watchdog, respawn) — recovered draws stay
-    byte-identical because every shard job carries its own stream
-    position.
+    them.
     """
     if samples < 1:
         raise ValidationError(f"samples must be >= 1, got {samples}")
-    if workers < 0:
-        raise ValidationError(f"workers must be >= 0, got {workers}")
     registry = _metrics.get_registry()
     with _trace.span(
         "mc.sample_verdicts",
         samples=samples,
         seed=seed,
-        workers=workers,
         design=design.name,
         baseline=baseline.name,
         weight=weight.name,
@@ -479,21 +296,8 @@ def sample_verdicts(
         area = design.area_ratio(baseline)
         energy = design.energy_ratio(baseline)
         power = design.power_ratio(baseline)
-        pool, spill = _mc_pool(workers, resilience)
 
-        def draw(rng: np.random.Generator, start: int, count: int) -> np.ndarray:
-            if pool is not None and count > 1:
-                jobs = [
-                    (seed, start + span_lo, span_hi - span_lo,
-                     lo, hi, area, energy, power)
-                    for span_lo, span_hi in _mc_spans(count, workers)
-                ]
-                parts = _mc_map(pool, _verdict_shard, jobs)
-                # Keep the parent's generator exactly where a serial
-                # draw would have left it (checkpoint states match).
-                if hi > lo:
-                    rng.bit_generator.advance(count)
-                return np.concatenate(parts)
+        def draw(rng: np.random.Generator, count: int) -> np.ndarray:
             alphas = (
                 rng.uniform(lo, hi, size=count)
                 if hi > lo
@@ -503,26 +307,23 @@ def sample_verdicts(
             ncf_ft = alphas * area + (1.0 - alphas) * power
             return classify_arrays(ncf_fw, ncf_ft)
 
-        try:
-            codes, store_samples = _checkpointed_codes(
-                draw,
-                samples=samples,
-                seed=seed,
-                checkpoint=checkpoint,
-                resume=resume,
-                checkpoint_every=checkpoint_every,
-                fingerprint={
-                    "sampler": "sample_verdicts",
-                    "design": _point_fields(design),
-                    "baseline": _point_fields(baseline),
-                    "band": [float(lo).hex(), float(hi).hex()],
-                    "samples": samples,
-                    "seed": seed,
-                },
-                store=store,
-            )
-        finally:
-            _mc_wind_down(pool, spill)
+        codes, store_samples = _checkpointed_codes(
+            draw,
+            samples=samples,
+            seed=seed,
+            checkpoint=checkpoint,
+            resume=resume,
+            checkpoint_every=checkpoint_every,
+            fingerprint={
+                "sampler": "sample_verdicts",
+                "design": _point_fields(design),
+                "baseline": _point_fields(baseline),
+                "band": [float(lo).hex(), float(hi).hex()],
+                "samples": samples,
+                "seed": seed,
+            },
+            store=store,
+        )
         if store is not None and sp is not _trace.NULL_SPAN:
             sp.set(store_samples=store_samples)
         return _observed_from_codes(
@@ -538,12 +339,10 @@ def sample_measurement_noise(
     relative_sigma: float = 0.1,
     samples: int = 10_000,
     seed: int = 0,
-    workers: int = 0,
     checkpoint: "CheckpointStore | str | os.PathLike | None" = None,
     resume: bool = False,
     checkpoint_every: int = 4096,
     store: "ResultStore | str | os.PathLike | None" = None,
-    resilience: RetryPolicy | None = None,
 ) -> CategoryProbabilities:
     """Verdict robustness to *measurement* uncertainty (paper §2).
 
@@ -552,37 +351,24 @@ def sample_measurement_noise(
     annotated die shots. This samples lognormal multiplicative noise of
     the given relative sigma on each of the design's three ratios
     (independently) at a fixed alpha, and reports how often the
-    sustainability verdict survives.
-
-    With ``workers > 0`` the NCF + classification arithmetic fans out
-    over a process pool in contiguous sample spans. The lognormal draw
-    itself stays sequential in the parent — ziggurat sampling consumes
-    a data-dependent number of generator states, so shards cannot be
-    positioned on the stream with ``advance`` the way
-    :func:`sample_verdicts` shards are. Results and checkpoint states
-    are byte-identical at any worker count, and ``workers`` is absent
-    from the checkpoint fingerprint.
+    sustainability verdict survives. Like :func:`sample_verdicts` it
+    runs in-process.
 
     ``checkpoint``/``resume``/``checkpoint_every`` enable crash-safe
     chunked sampling, and ``store`` persistent cross-run segment reuse
     (the stored post-segment generator state is what makes this work
     for the ziggurat's data-dependent stream consumption — see the
-    module docs); results are bit-identical with or without them. A
-    ``resilience`` policy supervises the shard pool exactly as in
-    :func:`sample_verdicts`.
+    module docs); results are bit-identical with or without them.
     """
     if samples < 1:
         raise ValidationError(f"samples must be >= 1, got {samples}")
     if relative_sigma < 0.0:
         raise ValidationError(f"relative_sigma must be >= 0, got {relative_sigma}")
-    if workers < 0:
-        raise ValidationError(f"workers must be >= 0, got {workers}")
     registry = _metrics.get_registry()
     with _trace.span(
         "mc.sample_measurement_noise",
         samples=samples,
         seed=seed,
-        workers=workers,
         design=design.name,
         baseline=baseline.name,
         alpha=alpha,
@@ -595,17 +381,9 @@ def sample_measurement_noise(
         area_ratio = design.area_ratio(baseline)
         energy_ratio = design.energy_ratio(baseline)
         power_ratio = design.power_ratio(baseline)
-        pool, spill = _mc_pool(workers, resilience)
 
-        def draw(rng: np.random.Generator, start: int, count: int) -> np.ndarray:
+        def draw(rng: np.random.Generator, count: int) -> np.ndarray:
             noise = rng.lognormal(mean=0.0, sigma=sigma_log, size=(count, 3))
-            if pool is not None and count > 1:
-                jobs = [
-                    (noise[span_lo:span_hi], alpha,
-                     area_ratio, energy_ratio, power_ratio)
-                    for span_lo, span_hi in _mc_spans(count, workers)
-                ]
-                return np.concatenate(_mc_map(pool, _noise_shard, jobs))
             area = area_ratio * noise[:, 0]
             energy = energy_ratio * noise[:, 1]
             power = power_ratio * noise[:, 2]
@@ -613,27 +391,24 @@ def sample_measurement_noise(
             ncf_ft = alpha * area + (1.0 - alpha) * power
             return classify_arrays(ncf_fw, ncf_ft)
 
-        try:
-            codes, store_samples = _checkpointed_codes(
-                draw,
-                samples=samples,
-                seed=seed,
-                checkpoint=checkpoint,
-                resume=resume,
-                checkpoint_every=checkpoint_every,
-                fingerprint={
-                    "sampler": "sample_measurement_noise",
-                    "design": _point_fields(design),
-                    "baseline": _point_fields(baseline),
-                    "alpha": float(alpha).hex(),
-                    "relative_sigma": float(relative_sigma).hex(),
-                    "samples": samples,
-                    "seed": seed,
-                },
-                store=store,
-            )
-        finally:
-            _mc_wind_down(pool, spill)
+        codes, store_samples = _checkpointed_codes(
+            draw,
+            samples=samples,
+            seed=seed,
+            checkpoint=checkpoint,
+            resume=resume,
+            checkpoint_every=checkpoint_every,
+            fingerprint={
+                "sampler": "sample_measurement_noise",
+                "design": _point_fields(design),
+                "baseline": _point_fields(baseline),
+                "alpha": float(alpha).hex(),
+                "relative_sigma": float(relative_sigma).hex(),
+                "samples": samples,
+                "seed": seed,
+            },
+            store=store,
+        )
         if store is not None and sp is not _trace.NULL_SPAN:
             sp.set(store_samples=store_samples)
         return _observed_from_codes(

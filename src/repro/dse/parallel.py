@@ -7,9 +7,7 @@ BatchExplorer`:
 
 * :class:`ColumnarBlock` — one flat buffer holding the sweep's
   area/perf/power/valid columns for *every* grid point, backed by a
-  ``multiprocessing.shared_memory`` segment, or by an mmapped spill
-  file when the sweep opts into out-of-core operation (``spill_dir=`` /
-  spill threshold);
+  ``multiprocessing.shared_memory`` segment;
 * :class:`GridArena` — the sweep's *input* grid columns published once
   into a read-only sibling segment, so a shard job shrinks to
   ``(lo, hi, seq)`` and workers slice the resident columns locally;
@@ -24,8 +22,8 @@ BatchExplorer`:
   the shared block. No ``DesignPoint`` ever crosses the process
   boundary.
 
-When either segment cannot get a shared backing (no ``/dev/shm``, size
-limits, sandboxing), :meth:`ColumnarBlock.allocate` /
+When either shared-memory segment cannot be created (no ``/dev/shm``,
+size limits, sandboxing), :meth:`ColumnarBlock.allocate` /
 :meth:`GridArena.publish` return ``None`` and the sweep runs
 in-process columnar instead.
 
@@ -42,9 +40,7 @@ module-level functions the workers do.
 
 from __future__ import annotations
 
-import mmap
 import os
-import tempfile
 import time
 from typing import Callable, Mapping, Sequence
 
@@ -79,13 +75,8 @@ BYTES_PER_POINT = 3 * 8 + 1
 #: the queue for one chunk's worth of work).
 STEAL_FACTOR = 2
 
-#: Handle prefix distinguishing mmapped spill files from raw
-#: shared-memory segment names in ``ColumnarBlock.name`` / ``attach``.
-FILE_PREFIX = "file:"
-
-#: Handles (shm segment names and ``file:`` spill paths) this process
-#: created and has not yet unlinked — the leak detector the
-#: interrupt-hygiene tests assert on.
+#: Shared-memory segment names this process created and has not yet
+#: unlinked — the leak detector the interrupt-hygiene tests assert on.
 _LIVE_NAMES: set[str] = set()
 
 #: Per-process worker state, installed once per pool by the initializers
@@ -94,95 +85,13 @@ _STATE: dict = {}
 
 
 def live_blocks() -> frozenset[str]:
-    """Segment handles created here and not yet unlinked (shm names
-    plus ``file:`` spill paths)."""
+    """Shared-memory segment names created here and not yet unlinked."""
     return frozenset(_LIVE_NAMES)
 
 
-class _FileMap:
-    """An mmapped spill file with the same surface as ``SharedMemory``.
-
-    Exposes ``name`` (a ``file:``-prefixed handle), ``size``, ``buf``,
-    ``close()`` and ``unlink()``, so :class:`ColumnarBlock` and
-    :class:`GridArena` treat the out-of-core backing exactly like a
-    shared-memory segment. Both sides map the file ``MAP_SHARED``, so
-    worker writes are visible to the parent through the page cache
-    without any explicit flush.
-    """
-
-    def __init__(self, path: str, size: int, create: bool) -> None:
-        self.path = path
-        self.name = FILE_PREFIX + path
-        self.size = size
-        if create:
-            with open(path, "wb") as handle:
-                handle.truncate(size)
-        self._file = open(path, "r+b")
-        try:
-            self._mmap = mmap.mmap(self._file.fileno(), size)
-        except Exception:
-            self._file.close()
-            raise
-        self.buf: memoryview | None = memoryview(self._mmap)
-
-    def close(self) -> None:
-        buf, self.buf = self.buf, None
-        if buf is not None:
-            buf.release()
-        self._mmap.close()
-        self._file.close()
-
-    def unlink(self) -> None:
-        try:
-            os.unlink(self.path)
-        except FileNotFoundError:
-            raise
-        except OSError:  # pragma: no cover - spill dir torn down first
-            pass
-
-
-def _spill_path(spill_dir: str | os.PathLike | None, tag: str) -> str:
-    if spill_dir is not None:
-        os.makedirs(spill_dir, exist_ok=True)
-    fd, path = tempfile.mkstemp(
-        prefix=f"focal-{tag}-", suffix=".bin", dir=spill_dir
-    )
-    os.close(fd)
-    return path
-
-
-def _should_spill(
-    nbytes: int,
-    spill_dir: str | os.PathLike | None,
-    spill_bytes: int | None,
-) -> bool:
-    """Whether a segment of *nbytes* goes out-of-core.
-
-    A ``spill_bytes`` threshold spills any segment at or above it; a
-    bare ``spill_dir`` (no threshold) opts every segment into the
-    memmap backing.
-    """
-    if spill_bytes is not None:
-        return nbytes >= spill_bytes
-    return spill_dir is not None
-
-
-def _create_segment(
-    nbytes: int,
-    tag: str,
-    spill_dir: str | os.PathLike | None,
-    spill_bytes: int | None,
-):
-    """A new shared segment: spill file when configured, else shm.
-
-    Returns ``None`` when neither backing is available — the sweep
-    then runs in-process.
-    """
-    if _should_spill(nbytes, spill_dir, spill_bytes):
-        try:
-            return _FileMap(_spill_path(spill_dir, tag), nbytes, create=True)
-        except Exception:
-            pass
+def _create_segment(nbytes: int):
+    """A new shared-memory segment, or ``None`` when none can be
+    created — the sweep then runs in-process."""
     try:
         from multiprocessing import shared_memory
 
@@ -191,8 +100,8 @@ def _create_segment(
         return None
 
 
-def _attach_segment(handle: str, nbytes: int):
-    """Attach to a parent-created segment by its handle.
+def _attach_segment(name: str):
+    """Attach to a parent-created shared-memory segment by name.
 
     On Python < 3.13 shm attachment re-registers the segment with the
     ``resource_tracker`` (python/cpython#82300). Pool workers are
@@ -202,11 +111,9 @@ def _attach_segment(handle: str, nbytes: int):
     would strip the *parent's* registration and make its ``unlink``
     complain about an unknown name.
     """
-    if handle.startswith(FILE_PREFIX):
-        return _FileMap(handle[len(FILE_PREFIX) :], nbytes, create=False)
     from multiprocessing import shared_memory
 
-    return shared_memory.SharedMemory(name=handle)
+    return shared_memory.SharedMemory(name=name)
 
 
 class ColumnarBlock:
@@ -214,9 +121,8 @@ class ColumnarBlock:
 
     Layout over ``total`` points: ``area``/``perf``/``power`` as
     consecutive float64 columns, then ``valid`` as a bool column. The
-    buffer is a shared-memory segment (workers write their shard rows
-    directly), or an mmapped spill file when the sweep opts into
-    out-of-core operation.
+    buffer is a shared-memory segment: workers write their shard rows
+    directly.
     """
 
     def __init__(self, total: int, shm, owner: bool) -> None:
@@ -236,21 +142,11 @@ class ColumnarBlock:
         )
 
     @classmethod
-    def allocate(
-        cls,
-        total: int,
-        *,
-        spill_dir: str | os.PathLike | None = None,
-        spill_bytes: int | None = None,
-    ) -> "ColumnarBlock | None":
-        """A new block: spill file when the out-of-core policy selects
-        one, else shared memory — or ``None`` when neither can be
+    def allocate(cls, total: int) -> "ColumnarBlock | None":
+        """A new shared-memory block, or ``None`` when none can be
         created (no /dev/shm, size limits, sandboxing), in which case
-        the sweep runs in-process.
-        """
-        shm = _create_segment(
-            max(1, total * BYTES_PER_POINT), "block", spill_dir, spill_bytes
-        )
+        the sweep runs in-process."""
+        shm = _create_segment(max(1, total * BYTES_PER_POINT))
         if shm is None:
             return None
         _LIVE_NAMES.add(shm.name)
@@ -259,32 +155,17 @@ class ColumnarBlock:
     @classmethod
     def attach(cls, name: str, total: int) -> "ColumnarBlock":
         """Attach to the parent's segment (worker-side)."""
-        return cls(
-            total,
-            _attach_segment(name, max(1, total * BYTES_PER_POINT)),
-            owner=False,
-        )
+        return cls(total, _attach_segment(name), owner=False)
 
     @property
     def name(self) -> str:
-        """Segment handle: a raw shm name, or a ``file:``-prefixed
-        spill path."""
+        """The shared-memory segment name."""
         return self._shm.name
 
     @property
-    def backing(self) -> str:
-        """``"shm"`` or ``"file"``."""
-        return "file" if isinstance(self._shm, _FileMap) else "shm"
-
-    @property
     def nbytes(self) -> int:
-        """Shared-memory bytes backing the block (0 otherwise)."""
-        return self._shm.size if self.backing == "shm" else 0
-
-    @property
-    def spill_nbytes(self) -> int:
-        """Spill-file bytes backing the block (0 unless out-of-core)."""
-        return self._shm.size if self.backing == "file" else 0
+        """Shared-memory bytes backing the block."""
+        return self._shm.size
 
     def write(
         self,
@@ -391,13 +272,7 @@ class GridArena:
             self._cols[name] = view
 
     @classmethod
-    def publish(
-        cls,
-        columns: Mapping[str, np.ndarray],
-        *,
-        spill_dir: str | os.PathLike | None = None,
-        spill_bytes: int | None = None,
-    ) -> "GridArena | None":
+    def publish(cls, columns: Mapping[str, np.ndarray]) -> "GridArena | None":
         """Copy *columns* into a new shared segment, or ``None`` when
         the columns cannot be hosted (non-numeric axes) or no shared
         backing is available — the sweep then runs in-process."""
@@ -408,7 +283,7 @@ class GridArena:
             return None
         layout, nbytes = packed
         total = len(next(iter(columns.values()))) if columns else 0
-        segment = _create_segment(nbytes, "grid", spill_dir, spill_bytes)
+        segment = _create_segment(nbytes)
         if segment is None:
             return None
         _LIVE_NAMES.add(segment.name)
@@ -419,35 +294,19 @@ class GridArena:
 
     @classmethod
     def attach(
-        cls, handle: str, layout: list[tuple[str, str, int]], total: int
+        cls, name: str, layout: list[tuple[str, str, int]], total: int
     ) -> "GridArena":
         """Attach to the parent's published grid (worker-side)."""
-        _, _, last_offset = layout[-1]
-        last_size = total * np.dtype(layout[-1][1]).itemsize
-        return cls(
-            _attach_segment(handle, max(1, last_offset + last_size)),
-            layout,
-            total,
-            owner=False,
-        )
+        return cls(_attach_segment(name), layout, total, owner=False)
 
     @property
     def name(self) -> str:
         return self._seg.name
 
     @property
-    def backing(self) -> str:
-        return "file" if isinstance(self._seg, _FileMap) else "shm"
-
-    @property
     def nbytes(self) -> int:
-        """Shared-memory bytes backing the arena (0 when spilled)."""
-        return self._seg.size if self.backing == "shm" else 0
-
-    @property
-    def spill_nbytes(self) -> int:
-        """Spill-file bytes backing the arena (0 unless out-of-core)."""
-        return self._seg.size if self.backing == "file" else 0
+        """Shared-memory bytes backing the arena."""
+        return self._seg.size
 
     def columns(self, lo: int, hi: int) -> dict[str, np.ndarray]:
         """Read-only views of rows ``[lo, hi)`` of every axis column."""
@@ -550,17 +409,17 @@ def init_columnar_worker(
     total: int,
     grid: tuple[str, list[tuple[str, str, int]], int],
     capture: bool = False,
-    spill_dir: str | None = None,
+    event_dir: str | None = None,
 ) -> None:
     """Pool initializer: factory plus one attachment each to the
     parent's result block and published grid arena. *grid* is a
-    ``(handle, layout, total)`` descriptor — three small values,
+    ``(name, layout, total)`` descriptor — three small values,
     shipped once per worker.
 
     With *capture* the worker's event buffer is armed first, so the
     shared-memory attach itself lands on the timeline (``worker.init``).
     """
-    _events.init_worker(capture, spill_dir)
+    _events.init_worker(capture, event_dir)
     buf = _events.get_buffer()
     t0 = buf.now()
     block = ColumnarBlock.attach(shm_name, total)

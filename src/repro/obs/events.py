@@ -53,13 +53,13 @@ __all__ = [
     "enable",
     "disable",
     "reset",
-    "make_spill_dir",
-    "cleanup_spill_dir",
+    "make_event_dir",
+    "remove_event_dir",
     "SPILL_PREFIX",
 ]
 
 #: Spill files are named ``events-<pid>.jsonl`` inside the sweep's
-#: spill directory.
+#: event directory.
 SPILL_PREFIX = "events-"
 
 
@@ -90,17 +90,17 @@ class EventBuffer:
         self._anchor_perf = 0.0
         self._spill = None
 
-    def enable(self, spill_dir: str | os.PathLike | None = None) -> None:
+    def enable(self, event_dir: str | os.PathLike | None = None) -> None:
         """Arm the buffer, stamping the clock anchor; optionally open a
-        write-through spill file under *spill_dir*."""
+        write-through spill file under *event_dir*."""
         self.disable()
         self.enabled = True
         self.events = []
         self._anchor_wall = time.time()
         self._anchor_perf = time.perf_counter()
-        if spill_dir is not None:
+        if event_dir is not None:
             try:
-                path = Path(spill_dir) / f"{SPILL_PREFIX}{os.getpid()}.jsonl"
+                path = Path(event_dir) / f"{SPILL_PREFIX}{os.getpid()}.jsonl"
                 self._spill = open(path, "a", buffering=1)
             except OSError:
                 self._spill = None
@@ -235,8 +235,8 @@ class EventLog:
             added += 1
         return added
 
-    def collect_spill(self, spill_dir: str | os.PathLike) -> int:
-        """Read every spill file under *spill_dir* into the log.
+    def collect_spill(self, event_dir: str | os.PathLike) -> int:
+        """Read every spill file under *event_dir* into the log.
 
         A torn final line (the worker died mid-write) is silently
         skipped — that is the crash contract: everything fully written
@@ -244,7 +244,7 @@ class EventLog:
         """
         added = 0
         try:
-            paths = sorted(Path(spill_dir).glob(f"{SPILL_PREFIX}*.jsonl"))
+            paths = sorted(Path(event_dir).glob(f"{SPILL_PREFIX}*.jsonl"))
         except OSError:  # pragma: no cover - spill dir vanished
             return 0
         for path in paths:
@@ -307,7 +307,7 @@ def record(name: str, **kwargs: object) -> None:
     _LOG.record(name, **kwargs)  # type: ignore[arg-type]
 
 
-def init_worker(capture: bool, spill_dir: str | None = None) -> None:
+def init_worker(capture: bool, event_dir: str | None = None) -> None:
     """Pool-initializer hook: arm (or disarm) this process's buffer.
 
     Shipped as ``initializer=init_worker, initargs=(capture, spill)``
@@ -315,7 +315,7 @@ def init_worker(capture: bool, spill_dir: str | None = None) -> None:
     in-process degradation records events exactly like a worker would.
     """
     if capture:
-        _BUFFER.enable(spill_dir)
+        _BUFFER.enable(event_dir)
     else:
         _BUFFER.disable()
 
@@ -343,19 +343,12 @@ def reset() -> None:
     _BUFFER.disable()
 
 
-def make_spill_dir(base: str | os.PathLike | None = None) -> str:
-    """A fresh private directory for one sweep's spill files.
-
-    Out-of-core sweeps pass their spill directory as *base* so worker
-    event files land next to the memmapped blocks instead of in a
-    cwd/tmp mix; the caller's ``finally`` removes the whole tree either
-    way via :func:`cleanup_spill_dir`.
-    """
-    return tempfile.mkdtemp(
-        prefix="focal-events-", dir=os.fspath(base) if base is not None else None
-    )
+def make_event_dir() -> str:
+    """A fresh private directory for one sweep's spill files; the
+    caller's ``finally`` removes it via :func:`remove_event_dir`."""
+    return tempfile.mkdtemp(prefix="focal-events-")
 
 
-def cleanup_spill_dir(spill_dir: str | os.PathLike) -> None:
-    """Remove a spill directory and everything in it (best-effort)."""
-    shutil.rmtree(spill_dir, ignore_errors=True)
+def remove_event_dir(event_dir: str | os.PathLike) -> None:
+    """Remove an event directory and everything in it (best-effort)."""
+    shutil.rmtree(event_dir, ignore_errors=True)

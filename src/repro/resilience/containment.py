@@ -398,18 +398,13 @@ class HeartbeatMonitor:
     means the pool is still draining jobs and must not be reaped.
     """
 
-    def __init__(self, base_dir: str | os.PathLike | None = None) -> None:
+    def __init__(self) -> None:
         self._dir: str | None = None
-        # Out-of-core sweeps route scratch files under their spill dir
-        # so nothing watchdog-related lands in a cwd/tmp mix.
-        self._base_dir = os.fspath(base_dir) if base_dir is not None else None
 
     def arm(self) -> str:
         """Create (if needed) and return the heartbeat directory."""
         if self._dir is None:
-            self._dir = tempfile.mkdtemp(
-                prefix="focal-heartbeat-", dir=self._base_dir
-            )
+            self._dir = tempfile.mkdtemp(prefix="focal-heartbeat-")
         return self._dir
 
     @property

@@ -115,10 +115,6 @@ class SupervisedPool:
         once per pool instead of once per job. The caller is
         responsible for mirroring the state in its own process when
         jobs must also run in-process (degradation).
-    monitor:
-        The parent-side :class:`~repro.resilience.containment.
-        HeartbeatMonitor`; auto-created when the policy sets
-        ``heartbeat_timeout_s`` and none is supplied.
     quarantine:
         A :class:`~repro.resilience.containment.QuarantineSession`
         enabling the poison-point bisection rung; ``None`` (the
@@ -132,7 +128,6 @@ class SupervisedPool:
         executor_factory: Callable[..., Executor] = ProcessPoolExecutor,
         initializer: Callable | None = None,
         initargs: tuple = (),
-        monitor: HeartbeatMonitor | None = None,
         quarantine: QuarantineSession | None = None,
     ) -> None:
         if workers < 1:
@@ -150,9 +145,9 @@ class SupervisedPool:
         # about the pool's health, so they stop counting against the
         # respawn budget.
         self._respawns_forgiven = 0
-        if monitor is None and policy.heartbeat_timeout_s is not None:
-            monitor = HeartbeatMonitor()
-        self._monitor = monitor
+        self._monitor = (
+            HeartbeatMonitor() if policy.heartbeat_timeout_s is not None else None
+        )
         self._quarantine = quarantine
 
     # ------------------------------------------------------------------

@@ -49,43 +49,12 @@ class TestSampleVerdicts:
         probs = sample_verdicts(better_design, baseline, EMBODIED_DOMINATED, samples=123)
         assert probs.samples == 123
 
-
-class TestParallelSampling:
-    """workers > 0 shards the draw over a pool; shard generators are
-    positioned on the single logical stream with advance(), so the
-    probabilities are byte-identical to the serial run."""
-
-    def test_workers_match_serial(self, baseline):
-        d = DesignPoint("edge", area=1.1, perf=1.0, power=0.6)
-        serial = sample_verdicts(
-            d, baseline, EMBODIED_DOMINATED, samples=2001, seed=7
-        )
-        parallel = sample_verdicts(
-            d, baseline, EMBODIED_DOMINATED, samples=2001, seed=7, workers=2
-        )
-        assert parallel == serial
-
-    def test_workers_match_serial_degenerate_band(self, baseline, worse_design):
-        # hi == lo consumes no generator states; the shards must not
-        # advance past a stream that was never drawn from.
-        weight = E2OWeight("point", alpha=0.5)
-        serial = sample_verdicts(worse_design, baseline, weight, samples=55, seed=3)
-        parallel = sample_verdicts(
-            worse_design, baseline, weight, samples=55, seed=3, workers=2
-        )
-        assert parallel == serial
-
-    def test_single_sample_with_workers(self, better_design, baseline):
-        serial = sample_verdicts(
-            better_design, baseline, EMBODIED_DOMINATED, samples=1, seed=9
-        )
-        parallel = sample_verdicts(
-            better_design, baseline, EMBODIED_DOMINATED, samples=1, seed=9, workers=2
-        )
-        assert parallel == serial
-
-    def test_rejects_negative_workers(self, better_design, baseline):
-        with pytest.raises(ValidationError):
+    @pytest.mark.parametrize(
+        "knob", [{"workers": 2}, {"resilience": None}], ids=["workers", "resilience"]
+    )
+    def test_has_no_pool_knobs(self, better_design, baseline, knob):
+        # The sampler runs in-process; there is no pool to configure.
+        with pytest.raises(TypeError):
             sample_verdicts(
-                better_design, baseline, EMBODIED_DOMINATED, samples=10, workers=-1
+                better_design, baseline, EMBODIED_DOMINATED, samples=10, **knob
             )

@@ -2,8 +2,9 @@
 byte-identical sweep output, identical cache contents and identical
 category counts versus both the single-process columnar path and the
 scalar path — at every grid/chunk geometry, falling back to the
-in-process columnar path when no shared backing exists, and with
-nothing (workers, shm segments, module state) left behind afterwards."""
+in-process columnar path when no shared-memory segment can be made,
+and with nothing (workers, shm segments, module state) left behind
+afterwards."""
 
 from __future__ import annotations
 
@@ -172,7 +173,7 @@ class TestSharedMemoryFallback:
         # result block nor the grid arena can be created, so the pool
         # cannot run and the sweep resolves to the in-process columnar
         # path — bit-exact, and with nothing left registered.
-        monkeypatch.setattr(parallel, "_create_segment", lambda *a: None)
+        monkeypatch.setattr(parallel, "_create_segment", lambda nbytes: None)
         reference = _explorer(
             SymmetricMulticoreFactory(), baseline
         ).explore_arrays(GRID)
@@ -193,7 +194,7 @@ class TestSharedMemoryFallback:
         monkeypatch.setattr(
             parallel.GridArena,
             "publish",
-            classmethod(lambda cls, columns, **kwargs: None),
+            classmethod(lambda cls, columns: None),
         )
         reference = _explorer(
             SymmetricMulticoreFactory(), baseline
@@ -207,6 +208,78 @@ class TestSharedMemoryFallback:
         par = _explorer(SymmetricMulticoreFactory(), baseline, workers=2)
         par.explore_arrays(GRID)
         assert par.last_sweep.shm_bytes >= len(GRID) * parallel.BYTES_PER_POINT
+
+
+class TestSharedBlockContract:
+    """The allocate/attach/write/rows/release contract workers rely on."""
+
+    def test_write_rows_roundtrip_through_attach(self):
+        total = 32
+        parent = parallel.ColumnarBlock.allocate(total)
+        try:
+            area = np.arange(total, dtype=np.float64)
+            perf = area * 2.0
+            power = area * 3.0
+            valid = np.ones(total, dtype=np.bool_)
+            # A second attachment of the same segment (what a worker does).
+            attached = parallel.ColumnarBlock.attach(parent.name, total)
+            try:
+                attached.write(0, total, area, perf, power, valid)
+            finally:
+                attached.release()
+            got = parent.rows(0, total)
+            assert np.array_equal(got[0], area)
+            assert np.array_equal(got[1], perf)
+            assert np.array_equal(got[2], power)
+            assert np.array_equal(got[3], valid)
+        finally:
+            parent.release()
+
+    def test_arena_serves_readonly_views(self):
+        columns = {
+            "cores": np.array([1, 2, 4, 8], dtype=np.int64),
+            "f": np.array([0.5, 0.9, 0.95, 0.99]),
+        }
+        arena = parallel.GridArena.publish(columns)
+        try:
+            assert arena is not None
+            assert arena.nbytes > 0
+            attached = parallel.GridArena.attach(
+                arena.name, arena.layout, arena.total
+            )
+            try:
+                views = attached.columns(1, 3)
+                assert np.array_equal(views["cores"], [2, 4])
+                assert np.array_equal(views["f"], [0.9, 0.95])
+                with pytest.raises(ValueError):
+                    views["cores"][0] = 99
+                del views  # a live view would pin the mapping open
+            finally:
+                attached.release()
+        finally:
+            if arena is not None:
+                arena.release()
+        assert parallel.live_blocks() == frozenset()
+
+    def test_release_idempotent_and_unlinks(self):
+        from multiprocessing import shared_memory
+
+        block = parallel.ColumnarBlock.allocate(8)
+        name = block.name
+        assert name in parallel.live_blocks()
+        probe = shared_memory.SharedMemory(name=name)  # the segment exists
+        probe.close()
+        block.release()
+        with pytest.raises(FileNotFoundError):
+            shared_memory.SharedMemory(name=name)
+        block.release()  # second call is a no-op, not an error
+        assert parallel.live_blocks() == frozenset()
+
+    def test_non_numeric_axes_refuse_residency(self):
+        assert (
+            parallel.GridArena.publish({"name": np.array(["a", "b"])}) is None
+        )
+        assert parallel.GridArena.publish({}) is None
 
 
 class TestHygiene:

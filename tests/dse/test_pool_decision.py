@@ -97,7 +97,7 @@ class TestPoolDecision:
     def test_decision_table(self, case, workers, monkeypatch, pool_spawns):
         factory, grid, warm, mode = CASES[case]
         if case == "no-shared-backing":
-            monkeypatch.setattr(parallel, "_create_segment", lambda *a: None)
+            monkeypatch.setattr(parallel, "_create_segment", lambda nbytes: None)
         monkeypatch.setattr(
             BatchExplorer, "_auto_decision", staticmethod(lambda est, cpus: 2)
         )

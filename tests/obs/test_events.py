@@ -192,8 +192,8 @@ class TestGlobalState:
         assert not events.get_buffer().enabled
 
     def test_spill_dir_lifecycle(self):
-        path = events.make_spill_dir()
+        path = events.make_event_dir()
         assert os.path.isdir(path)
-        events.cleanup_spill_dir(path)
+        events.remove_event_dir(path)
         assert not os.path.exists(path)
-        events.cleanup_spill_dir(path)  # idempotent
+        events.remove_event_dir(path)  # idempotent

@@ -87,24 +87,6 @@ class TestSampleVerdicts:
         )
         assert resumed == reference
 
-    def test_resume_across_worker_counts(self, design, mc_baseline, tmp_path, kill_after):
-        """workers is an execution knob, not part of the stream
-        identity: a checkpoint written serially resumes on a pool (and
-        lands on the single-shot probabilities, bit for bit)."""
-        reference = sample_verdicts(design, mc_baseline, BALANCED, samples=SAMPLES, seed=9)
-        ckpt = tmp_path / "v.ckpt"
-        kill_after(2)
-        with pytest.raises(Killed):
-            sample_verdicts(
-                design, mc_baseline, BALANCED, samples=SAMPLES, seed=9,
-                checkpoint=ckpt, checkpoint_every=1000,
-            )
-        resumed = sample_verdicts(
-            design, mc_baseline, BALANCED, samples=SAMPLES, seed=9,
-            checkpoint=ckpt, resume=True, checkpoint_every=1000, workers=2,
-        )
-        assert resumed == reference
-
     def test_seed_mismatch_refused(self, design, mc_baseline, tmp_path):
         ckpt = tmp_path / "v.ckpt"
         sample_verdicts(design, mc_baseline, BALANCED, samples=SAMPLES, seed=9,

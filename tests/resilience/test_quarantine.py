@@ -248,36 +248,6 @@ class TestSalvage:
         assert_survivors_identical(resumed, reference, resumed.quarantined)
 
 
-class TestMonteCarloResilience:
-    def test_supervised_sampling_matches_unsupervised(self, fast_policy):
-        from repro.core.design import DesignPoint
-        from repro.core.scenario import BALANCED
-        from repro.dse.montecarlo import (
-            sample_measurement_noise,
-            sample_verdicts,
-        )
-
-        design = DesignPoint(name="d", area=4.0, perf=2.0, power=3.0)
-        base = DesignPoint.baseline("b")
-        plain_v = sample_verdicts(
-            design, base, BALANCED, samples=2000, seed=3, workers=2
-        )
-        supervised_v = sample_verdicts(
-            design, base, BALANCED, samples=2000, seed=3, workers=2,
-            resilience=fast_policy,
-        )
-        assert plain_v == supervised_v
-
-        plain_n = sample_measurement_noise(
-            design, base, 0.5, samples=2000, seed=3, workers=2
-        )
-        supervised_n = sample_measurement_noise(
-            design, base, 0.5, samples=2000, seed=3, workers=2,
-            resilience=fast_policy,
-        )
-        assert plain_n == supervised_n
-
-
 class TestNoOrphans:
     def test_quarantine_run_leaves_no_workers_behind(
         self, make_explorer, grid, factory, tmp_path, quarantine_policy

@@ -412,10 +412,14 @@ class TestParallelTelemetry:
         events = payload["events"]
         assert events, "parallel traced sweep recorded no worker events"
         workers = {e["worker"] for e in events if e.get("track") != "supervisor"}
-        assert len(workers) == 4  # every planned worker reported in
-        names = {e["name"] for e in events}
-        assert "worker.init" in names
-        assert "shard" in names
+        # The pool forks 4 workers but the 20-point grid is 2 shards. A
+        # worker that ran no shard may be reaped at teardown before its
+        # initializer has written anything, so the guarantee is: every
+        # worker that ran a shard reported in, with its worker.init.
+        assert 1 <= len(workers) <= 4
+        shard_workers = {e["worker"] for e in events if e["name"] == "shard"}
+        init_workers = {e["worker"] for e in events if e["name"] == "worker.init"}
+        assert shard_workers and shard_workers <= init_workers
         # every worker event is clock-aligned onto the span axis
         assert all("t_rel" in e for e in events)
         shard = next(e for e in events if e["name"] == "shard")
@@ -450,7 +454,13 @@ class TestParallelTelemetry:
             for e in doc["traceEvents"]
             if e["pid"] == WORKER_PID and e["ph"] != "M"
         }
-        assert len(worker_tids) == 4
+        # One track per worker that left events (see the report test).
+        reported = {
+            e["worker"]
+            for e in json.loads(traced_report.read_text())["events"]
+            if e.get("track") != "supervisor"
+        }
+        assert worker_tids == reported and 1 <= len(worker_tids) <= 4
         phases = {e["ph"] for e in doc["traceEvents"]}
         assert {"M", "X"} <= phases
 
